@@ -14,8 +14,7 @@
 //! Every scenario is measured across a worker-thread sweep (1, 2, and
 //! host parallelism). The simulated results MUST be byte-identical at
 //! every thread count — the binary itself hard-fails on any mismatch,
-//! independent of `--check` — so only wall-clock may vary. A serial vs
-//! parallel promotion suffix-decode measurement rides along.
+//! independent of `--check` — so only wall-clock may vary.
 //!
 //! Flags:
 //!
@@ -36,14 +35,7 @@
 //! * `--pairs <n>` measures one custom-sized scenario instead (printed
 //!   only; not written or checked).
 
-use bytes::Bytes;
-use ftjvm_core::codec::{
-    build_batch_frame, build_epoch_frame, decode_frames_pipelined, seal_frame, RecordDecoder,
-    RecordEncoder,
-};
 use ftjvm_core::fleet::{run_fleet, FleetConfig, FleetReport};
-use ftjvm_core::records::{LoggedResult, Record, WireValue};
-use ftjvm_vm::VtPath;
 use std::time::Instant;
 
 struct Scenario {
@@ -137,82 +129,11 @@ fn measure(sc: Scenario) -> Row {
     Row { name: sc.name.to_string(), cfg: sc.cfg, report, wall_ms_by_threads }
 }
 
-/// Serial vs parallel promotion-path suffix decode: a synthetic sealed
-/// suffix (compact batches + heartbeat fixed frames + epoch marks, the
-/// mix a promoting standby drains), decoded at 1 thread and at host
-/// parallelism. Outputs are asserted identical; only wall-clock is
-/// reported.
-struct SuffixBench {
-    frames: usize,
-    records: usize,
-    ms_by_threads: Vec<(usize, f64)>,
-}
-
-fn synth_suffix() -> Vec<Bytes> {
-    let t0 = VtPath::root();
-    let mut enc = RecordEncoder::new();
-    let mut frames = Vec::new();
-    let mut seq = 0u64;
-    let seal = |payload: &Bytes, seq: &mut u64| {
-        *seq += 1;
-        seal_frame(*seq, payload)
-    };
-    for epoch in 0..40u64 {
-        for batch in 0..25u64 {
-            let bodies: Vec<Bytes> = (0..32u64)
-                .map(|i| {
-                    let n = epoch * 1000 + batch * 32 + i;
-                    enc.encode_body(&match n % 4 {
-                        0 => Record::LockAcq { t: t0.clone(), t_asn: n, l_id: 3, l_asn: n },
-                        1 => Record::NativeResult {
-                            t: t0.clone(),
-                            seq: n,
-                            sig_hash: 0x5EED,
-                            result: LoggedResult::Ok(Some(WireValue::Int(n as i64))),
-                            out_args: Vec::new(),
-                        },
-                        2 => Record::OutputCommit { t: t0.clone(), seq: n, output_id: n },
-                        _ => Record::Heartbeat { now_ns: n * 1_000 },
-                    })
-                })
-                .collect();
-            frames.push(seal(&build_batch_frame(&bodies), &mut seq));
-        }
-        frames.push(seal(&build_epoch_frame(epoch, 25), &mut seq));
-    }
-    frames
-}
-
-fn measure_suffix_decode() -> SuffixBench {
-    let frames = synth_suffix();
-    let mut ms_by_threads = Vec::new();
-    let mut reference: Option<Vec<Vec<Record>>> = None;
-    let mut records = 0usize;
-    for threads in thread_sweep() {
-        // Best of 3: decode is short enough for scheduler noise to bite.
-        let mut best = f64::INFINITY;
-        let mut last = Vec::new();
-        for _ in 0..3 {
-            let mut dec = RecordDecoder::new();
-            let start = Instant::now();
-            last = decode_frames_pipelined(&mut dec, &frames, threads).expect("suffix decodes");
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        records = last.iter().map(Vec::len).sum();
-        match &reference {
-            None => reference = Some(last),
-            Some(want) => assert_eq!(&last, want, "suffix decode diverged at {threads} threads"),
-        }
-        ms_by_threads.push((threads, best));
-    }
-    SuffixBench { frames: frames.len(), records, ms_by_threads }
-}
-
 fn render_walls(walls: &[(usize, f64)]) -> String {
     walls.iter().map(|(t, ms)| format!("{t}t {ms:.0}ms")).collect::<Vec<_>>().join(", ")
 }
 
-fn render_text(rows: &[Row], suffix: &SuffixBench) -> String {
+fn render_text(rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str("Fleet-scale serving simulation: aggregate SLOs under continuous faults\n");
     out.push_str(&format!(
@@ -259,16 +180,10 @@ fn render_text(rows: &[Row], suffix: &SuffixBench) -> String {
         }
         out.push_str(&format!("  wall clock: {}\n\n", render_walls(&r.wall_ms_by_threads)));
     }
-    out.push_str(&format!(
-        "[promotion suffix decode] {} frames / {} records (sealed compact batches)\n  wall clock: {}\n",
-        suffix.frames,
-        suffix.records,
-        render_walls(&suffix.ms_by_threads)
-    ));
     out
 }
 
-fn render_json(rows: &[Row], suffix: &SuffixBench) -> String {
+fn render_json(rows: &[Row]) -> String {
     let walls_obj = |walls: &[(usize, f64)]| {
         walls.iter().map(|(t, ms)| format!("\"{t}\": {ms:.1}")).collect::<Vec<_>>().join(", ")
     };
@@ -313,12 +228,7 @@ fn render_json(rows: &[Row], suffix: &SuffixBench) -> String {
         ));
         out.push_str(if i + 1 == rows.len() { "    }\n" } else { "    },\n" });
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"suffix_decode\": {\n");
-    out.push_str(&format!("    \"frames\": {},\n", suffix.frames));
-    out.push_str(&format!("    \"records\": {},\n", suffix.records));
-    out.push_str(&format!("    \"ms_by_threads\": {{ {} }}\n", walls_obj(&suffix.ms_by_threads)));
-    out.push_str("  }\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -436,15 +346,14 @@ fn main() {
         scenarios(smoke_only).into_iter().map(measure).collect()
     };
 
-    let suffix = measure_suffix_decode();
-    print!("{}", render_text(&rows, &suffix));
+    print!("{}", render_text(&rows));
 
     if write && custom_pairs.is_none() {
         let json = repo_path("BENCH_fleet.json");
-        std::fs::write(&json, render_json(&rows, &suffix)).expect("write BENCH_fleet.json");
+        std::fs::write(&json, render_json(&rows)).expect("write BENCH_fleet.json");
         let txt = repo_path("docs/results/fleet.txt");
         std::fs::create_dir_all(txt.parent().expect("has parent")).expect("mkdir results");
-        std::fs::write(&txt, render_text(&rows, &suffix)).expect("write fleet.txt");
+        std::fs::write(&txt, render_text(&rows)).expect("write fleet.txt");
         println!("wrote {} and {}", json.display(), txt.display());
     }
     if do_check {

@@ -20,8 +20,8 @@
 //!   (§3.4, §4.1).
 
 use crate::codec::{
-    decode_frames_pipelined, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk,
-    open_frame, parse_epoch_frame, RecordDecoder, SnapshotAssembler,
+    frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk, open_frame,
+    parse_epoch_frame, RecordDecoder, SnapshotAssembler,
 };
 use crate::records::{sig_hash, LoggedResult, Record};
 use crate::se::SeRegistry;
@@ -171,31 +171,22 @@ impl BackupLog {
     /// happen (the channel is reliable and frames are whole records), so
     /// corruption means a protocol bug.
     pub fn decode(frames: Vec<Bytes>, se: &mut SeRegistry) -> Result<BackupLog, VmError> {
-        BackupLog::decode_parallel(frames, se, 1)
-    }
-
-    /// [`BackupLog::decode`] with worker-thread fan-out: seal checks and
-    /// stateless record decode parallelize across `threads` workers while
-    /// compact batches keep their sequential context chain (one decoder
-    /// across all frames, mirroring the primary's encoder). The resulting
-    /// log is byte-identical for every thread count.
-    ///
-    /// # Errors
-    /// Returns an error for malformed frames — a truncated *suffix* cannot
-    /// happen (the channel is reliable and frames are whole records), so
-    /// corruption means a protocol bug.
-    pub fn decode_parallel(
-        frames: Vec<Bytes>,
-        se: &mut SeRegistry,
-        threads: usize,
-    ) -> Result<BackupLog, VmError> {
         let mut log = BackupLog::default();
+        // One decoder across all frames: the compact codec's delta context
+        // spans batch boundaries, mirroring the primary's encoder. Frames
+        // are self-describing, so fixed records (heartbeats, or a whole
+        // fixed-codec log) and compact batches may interleave.
         let mut decoder = RecordDecoder::new();
-        let decoded = decode_frames_pipelined(&mut decoder, &frames, threads)
-            .map_err(|e| VmError::Internal(format!("malformed log record: {e}")))?;
+        let mut scratch = Vec::new();
         let mut idx = 0usize;
-        for recs in decoded {
-            for rec in recs {
+        for (frame_idx, frame) in frames.into_iter().enumerate() {
+            scratch.clear();
+            decoder.decode_frame(frame, &mut scratch).map_err(|e| {
+                VmError::Internal(format!(
+                    "malformed log record at index {idx} (frame {frame_idx}): {e}"
+                ))
+            })?;
+            for rec in scratch.drain(..) {
                 log.ingest(idx, rec, se);
                 idx += 1;
             }
@@ -465,73 +456,6 @@ impl NativeReplay {
             self.next_idx += 1;
         }
         self.stats.peak_backup_pending = self.stats.peak_backup_pending.max(self.pending_records());
-        Ok(heartbeats)
-    }
-
-    /// Bulk [`NativeReplay::feed_frame`]: decodes a whole buffered suffix at
-    /// once, fanning seal verification and stateless record decode out
-    /// across `threads` workers while compact batches keep their sequential
-    /// context chain. Ingestion order, flat record indices, heartbeat
-    /// counts, and the per-frame `peak_backup_pending` watermark all match
-    /// feeding the frames one at a time, so the resulting backup state is
-    /// byte-identical for every thread count — only wall-clock changes.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug: the channel
-    /// is reliable and frames are whole records). On error the decoder
-    /// context is unspecified; callers abort the replica.
-    fn feed_frames(&mut self, frames: Vec<Bytes>, threads: usize) -> Result<u32, VmError> {
-        if threads <= 1 {
-            let mut heartbeats = 0u32;
-            for frame in frames {
-                heartbeats += self.feed_frame(frame)?;
-            }
-            return Ok(heartbeats);
-        }
-        // Control frames are stateless, so splitting the stream around them
-        // and bulk-decoding each record run preserves the decoder's context
-        // chain exactly.
-        let mut heartbeats = 0u32;
-        let mut run: Vec<Bytes> = Vec::new();
-        let ingest_run = |this: &mut Self, run: &mut Vec<Bytes>| -> Result<u32, VmError> {
-            if run.is_empty() {
-                return Ok(0);
-            }
-            let at = this.next_idx;
-            let decoded =
-                decode_frames_pipelined(&mut this.decoder, run, threads).map_err(|e| {
-                    VmError::Internal(format!("malformed streamed log record at index {at}: {e}"))
-                })?;
-            run.clear();
-            let mut hb = 0u32;
-            for recs in decoded {
-                for rec in recs {
-                    if matches!(rec, Record::Heartbeat { .. }) {
-                        hb += 1;
-                    }
-                    this.log.ingest(this.next_idx, rec, &mut this.se);
-                    this.next_idx += 1;
-                }
-                // Pending counts only grow while feeding, so updating the
-                // watermark at frame granularity matches the sequential path.
-                this.stats.peak_backup_pending =
-                    this.stats.peak_backup_pending.max(this.pending_records());
-            }
-            Ok(hb)
-        };
-        for frame in frames {
-            if frame_is_epoch_mark(&frame) {
-                heartbeats += ingest_run(self, &mut run)?;
-                parse_epoch_frame(&frame)
-                    .map_err(|e| VmError::Internal(format!("malformed epoch mark: {e}")))?;
-                self.epochs_absorbed += 1;
-            } else if frame_is_snapshot_chunk(&frame) {
-                heartbeats += ingest_run(self, &mut run)?;
-            } else {
-                run.push(frame);
-            }
-        }
-        heartbeats += ingest_run(self, &mut run)?;
         Ok(heartbeats)
     }
 
@@ -830,16 +754,6 @@ impl LockSyncBackup {
     /// Returns an error for a malformed frame (a protocol bug).
     pub fn feed_frame(&mut self, frame: Bytes) -> Result<u32, VmError> {
         self.replay.feed_frame(frame)
-    }
-
-    /// Bulk [`LockSyncBackup::feed_frame`] over a buffered suffix, with the
-    /// seal-check/decode front end fanned out across `threads` workers.
-    /// Byte-identical to feeding the frames one at a time.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frames(&mut self, frames: Vec<Bytes>, threads: usize) -> Result<u32, VmError> {
-        self.replay.feed_frames(frames, threads)
     }
 
     /// Promotes a streaming backup: no further records can arrive.
@@ -1188,26 +1102,6 @@ impl TsBackup {
     /// Returns an error for a malformed frame (a protocol bug).
     pub fn feed_frame(&mut self, frame: Bytes, acct: &mut TimeAccount) -> Result<u32, VmError> {
         let heartbeats = self.replay.feed_frame(frame)?;
-        self.drain_pending(acct);
-        Ok(heartbeats)
-    }
-
-    /// Bulk [`TsBackup::feed_frame`] over a buffered suffix, with the
-    /// seal-check/decode front end fanned out across `threads` workers.
-    /// The pending-switch drain runs once after the whole batch — during a
-    /// cold-suffix promotion the VM has not executed yet, so no switch is
-    /// pending mid-stream and the result is byte-identical to feeding the
-    /// frames one at a time.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frames(
-        &mut self,
-        frames: Vec<Bytes>,
-        threads: usize,
-        acct: &mut TimeAccount,
-    ) -> Result<u32, VmError> {
-        let heartbeats = self.replay.feed_frames(frames, threads)?;
         self.drain_pending(acct);
         Ok(heartbeats)
     }
@@ -1688,16 +1582,6 @@ impl IntervalBackup {
     /// Returns an error for a malformed frame (a protocol bug).
     pub fn feed_frame(&mut self, frame: Bytes) -> Result<u32, VmError> {
         self.replay.feed_frame(frame)
-    }
-
-    /// Bulk [`IntervalBackup::feed_frame`] over a buffered suffix, with the
-    /// seal-check/decode front end fanned out across `threads` workers.
-    /// Byte-identical to feeding the frames one at a time.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frames(&mut self, frames: Vec<Bytes>, threads: usize) -> Result<u32, VmError> {
-        self.replay.feed_frames(frames, threads)
     }
 
     /// Promotes a streaming backup: no further records can arrive.

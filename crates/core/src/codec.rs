@@ -592,156 +592,6 @@ pub fn decode_frames(frames: Vec<Bytes>) -> Result<Vec<Record>, WireError> {
     Ok(out)
 }
 
-/// Below this many frames the pipelined decoder runs sequentially:
-/// thread spawn costs more than it saves (results are identical either
-/// way — the threshold affects wall-clock time only).
-const PIPELINE_MIN_FRAMES: usize = 16;
-
-/// Unseals one frame if it carries a CRC32C seal, passing unsealed
-/// frames through untouched.
-fn unseal(frame: &Bytes) -> Result<Bytes, WireError> {
-    if frame.first() == Some(&SEAL_TAG) {
-        let (_seq, payload) =
-            open_frame(frame).map_err(|_| WireError::new("sealed frame failed verification"))?;
-        Ok(payload)
-    } else {
-        Ok(frame.clone())
-    }
-}
-
-/// Decodes a buffered multi-frame log suffix with worker-thread fan-out,
-/// **byte-identical** to feeding each frame through
-/// [`RecordDecoder::decode_frame`] in order (after unsealing): CRC32C
-/// seal verification and stateless record decode (fixed-codec frames,
-/// heartbeats, control frames) parallelize freely, while compact `0xBA`
-/// batches — whose delta context chains across batches — decode
-/// sequentially in arrival order, pipelined against the parallel work.
-/// Returns one record vector per input frame, in input order, so callers
-/// keep their per-frame bookkeeping (epoch marks, pending peaks).
-///
-/// On a malformed input the error reported is the one the sequential
-/// decoder would have hit first (smallest frame index); the decoder's
-/// delta context is unspecified after an error, exactly like the
-/// sequential path's callers assume (decode errors abort replay).
-///
-/// # Errors
-/// Returns [`WireError`] if any frame is malformed or a seal fails
-/// verification.
-pub fn decode_frames_pipelined(
-    decoder: &mut RecordDecoder,
-    frames: &[Bytes],
-    threads: usize,
-) -> Result<Vec<Vec<Record>>, WireError> {
-    let threads = threads.max(1);
-    if threads == 1 || frames.len() < PIPELINE_MIN_FRAMES {
-        let mut out = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let mut recs = Vec::new();
-            decoder.decode_frame(unseal(frame)?, &mut recs)?;
-            out.push(recs);
-        }
-        return Ok(out);
-    }
-
-    // Stage 1 (parallel when sealed traffic is present): verify and strip
-    // every seal so stage 2 can classify frames by payload tag.
-    let sealed: Vec<usize> = frames
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.first() == Some(&SEAL_TAG))
-        .map(|(i, _)| i)
-        .collect();
-    let mut payloads: Vec<Bytes> = frames.to_vec();
-    if !sealed.is_empty() {
-        let opened: Vec<(usize, Result<Bytes, WireError>)> = std::thread::scope(|s| {
-            let chunk = sealed.len().div_ceil(threads);
-            let handles: Vec<_> = sealed
-                .chunks(chunk.max(1))
-                .map(|ids| {
-                    let frames = &frames;
-                    s.spawn(move || {
-                        ids.iter().map(|&i| (i, unseal(&frames[i]))).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("unseal worker")).collect()
-        });
-        // Earliest-index error wins, matching the sequential decoder.
-        let mut first_err: Option<(usize, WireError)> = None;
-        for (i, r) in opened {
-            match r {
-                Ok(p) => payloads[i] = p,
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-    }
-
-    // Stage 2: stateless frames fan out across workers while the calling
-    // thread walks the stateful batch chain in arrival order.
-    let is_batch: Vec<bool> = payloads.iter().map(|p| p.first() == Some(&BATCH_TAG)).collect();
-    let batch: Vec<usize> = (0..payloads.len()).filter(|&i| is_batch[i]).collect();
-    let stateless: Vec<usize> = (0..payloads.len()).filter(|&i| !is_batch[i]).collect();
-    let mut out: Vec<Vec<Record>> = (0..payloads.len()).map(|_| Vec::new()).collect();
-    let mut batch_err: Option<(usize, WireError)> = None;
-    let stateless_results: Vec<(usize, Result<Vec<Record>, WireError>)> = std::thread::scope(|s| {
-        let chunk = stateless.len().div_ceil(threads).max(1);
-        let handles: Vec<_> = stateless
-            .chunks(chunk)
-            .map(|ids| {
-                let payloads = &payloads;
-                s.spawn(move || {
-                    ids.iter()
-                        .map(|&i| {
-                            // Stateless decode needs no shared context:
-                            // control frames yield nothing, everything
-                            // else is a self-contained fixed record.
-                            let mut recs = Vec::new();
-                            let r = RecordDecoder::new()
-                                .decode_frame(payloads[i].clone(), &mut recs)
-                                .map(|()| recs);
-                            (i, r)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        // The batch chain runs here, concurrent with the workers.
-        for &i in &batch {
-            let mut recs = Vec::new();
-            match decoder.decode_frame(payloads[i].clone(), &mut recs) {
-                Ok(()) => out[i] = recs,
-                Err(e) => {
-                    batch_err = Some((i, e));
-                    break;
-                }
-            }
-        }
-        handles.into_iter().flat_map(|h| h.join().expect("decode worker")).collect()
-    });
-    let mut first_err = batch_err;
-    for (i, r) in stateless_results {
-        match r {
-            Ok(recs) => out[i] = recs,
-            Err(e) => {
-                if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_err = Some((i, e));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Epoch checkpoint control frames. An epoch mark tells the backup that
 // everything before it is covered by a snapshot and may be dropped; a
@@ -1105,96 +955,6 @@ mod tests {
             build_batch_frame(&bodies[7..]),
         ];
         assert_eq!(decode_frames(frames).unwrap(), records);
-    }
-
-    /// A representative suffix: fixed frames, compact batches (context
-    /// chained), sealed frames (over both kinds), and epoch marks — long
-    /// enough to cross [`PIPELINE_MIN_FRAMES`]. Also returns a
-    /// continuation batch whose compact body deltas against the stream's
-    /// final encoder context, so a decoder that absorbed the stream can be
-    /// checked for context equality behaviorally.
-    fn mixed_stream() -> (Vec<Bytes>, Bytes) {
-        let records = sample_records();
-        let mut enc = RecordEncoder::new();
-        let bodies: Vec<Bytes> = records.iter().map(|r| enc.encode_body(r)).collect();
-        let fixed: Vec<Bytes> = records.iter().map(Record::encode).collect();
-        let frames = vec![
-            fixed[0].clone(),
-            build_batch_frame(&bodies[..4]),
-            seal_frame(1, &fixed[1]),
-            build_epoch_frame(1, 2),
-            fixed[2].clone(),
-            seal_frame(2, &build_batch_frame(&bodies[4..7])),
-            fixed[3].clone(),
-            fixed[4].clone(),
-            build_epoch_frame(2, 4),
-            seal_frame(3, &fixed[5]),
-            fixed[6].clone(),
-            build_batch_frame(&bodies[7..]),
-            fixed[7].clone(),
-            seal_frame(4, &fixed[8]),
-            fixed[0].clone(),
-            fixed[1].clone(),
-            fixed[2].clone(),
-            fixed[3].clone(),
-        ];
-        let cont = build_batch_frame(&[enc.encode_body(&Record::Heartbeat { now_ns: 2_000_000 })]);
-        (frames, cont)
-    }
-
-    #[test]
-    fn pipelined_decode_is_thread_count_invariant() {
-        let (frames, cont) = mixed_stream();
-        assert!(frames.len() >= PIPELINE_MIN_FRAMES);
-        let mut base_dec = RecordDecoder::new();
-        let base = decode_frames_pipelined(&mut base_dec, &frames, 1).unwrap();
-        assert_eq!(base.len(), frames.len());
-        // Control frames decode to nothing; everything else to records.
-        assert!(base[3].is_empty() && base[8].is_empty());
-        assert_eq!(base[1].len(), 4);
-        for threads in [2, 4, 8] {
-            let mut dec = RecordDecoder::new();
-            let got = decode_frames_pipelined(&mut dec, &frames, threads).unwrap();
-            assert_eq!(got, base, "threads={threads}");
-            // The stateful delta context must have advanced identically:
-            // a continuation batch (heartbeat delta against the stream's
-            // last heartbeat) decodes to the same record.
-            let mut a = Vec::new();
-            dec.decode_frame(cont.clone(), &mut a).unwrap();
-            assert_eq!(a, vec![Record::Heartbeat { now_ns: 2_000_000 }], "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pipelined_decode_reports_the_sequential_error() {
-        // Scenario 1: a corrupted seal early, a truncated batch later —
-        // the seal failure (smaller index) must win at every thread count.
-        let (mut frames, _) = mixed_stream();
-        let mut bad = frames[2].to_vec();
-        *bad.last_mut().unwrap() ^= 0xFF;
-        frames[2] = Bytes::from(bad);
-        frames[11] = Bytes::from_static(&[0xBA, 0x01]);
-        let base =
-            decode_frames_pipelined(&mut RecordDecoder::new(), &frames, 1).unwrap_err().to_string();
-        for threads in [2, 4, 8] {
-            let got = decode_frames_pipelined(&mut RecordDecoder::new(), &frames, threads)
-                .unwrap_err()
-                .to_string();
-            assert_eq!(got, base, "threads={threads}");
-        }
-
-        // Scenario 2: a truncated batch early, a garbage fixed frame later.
-        let (mut frames, _) = mixed_stream();
-        frames[1] = Bytes::from_static(&[0xBA, 0x01]);
-        frames[12] = Bytes::from_static(&[0x09, 0x00, 0x00]);
-        let base =
-            decode_frames_pipelined(&mut RecordDecoder::new(), &frames, 1).unwrap_err().to_string();
-        for threads in [2, 4, 8] {
-            let got = decode_frames_pipelined(&mut RecordDecoder::new(), &frames, threads)
-                .unwrap_err()
-                .to_string();
-            assert_eq!(got, base, "threads={threads}");
-        }
     }
 
     #[test]

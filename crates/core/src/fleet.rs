@@ -4,8 +4,8 @@
 //! The paper measures one primary/backup pair on two Sun E5000s. This
 //! module asks the fleet question: what service levels does a *building
 //! full* of such pairs deliver when faults arrive continuously? Each
-//! pair is a [`PairTask`] (the pair-as-value state machine); the
-//! windowed worker pool of [`crate::parallel`] advances every pair to
+//! slot is a [`GroupTask`] — a classic pair is a group of two — and the
+//! windowed worker pool of [`crate::parallel`] advances every slot to
 //! each global logical-time quantum boundary and merges the shared-trunk
 //! reservations at a barrier, so hundreds of pairs interleave on one
 //! timeline — on one thread or many, byte-identically
@@ -40,9 +40,8 @@
 //! re-integration); lock-sync vs thread-sched and fixed vs compact codec
 //! are drawn per pair so the fleet exercises the full matrix.
 
-use crate::ftjvm::{FtConfig, LockVariant, PairReport, ReplicationMode};
+use crate::ftjvm::{FtConfig, LockVariant, ReplicationMode};
 use crate::group::{GroupConfig, GroupReport, GroupTask};
-use crate::pair::PairTask;
 use crate::parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};
 use crate::runtime::{CheckpointPlan, LagBudget, ReplicaRuntime};
 use ftjvm_netsim::{FailureDetector, FaultPlan, SharedLink, SharedStats, SimTime, WireCodec};
@@ -140,11 +139,11 @@ pub struct FleetConfig {
     /// Check every surviving pair's console against the analytically
     /// expected output and scan for duplicate output ids.
     pub verify: bool,
-    /// Run every slot as an N-replica group instead of a classic pair:
-    /// `Some(k)` gives each slot `k` replicas with rank-ordered
-    /// promotion, the slot's drawn primary crash becoming the group's
-    /// first kill and a drawn backup kill the rank-1 standby's death.
-    /// `None` keeps classic pairs.
+    /// Replicas per slot: `Some(k)` gives each slot a `k`-replica group
+    /// with rank-ordered promotion, the slot's drawn primary crash
+    /// becoming the group's first kill and a drawn backup kill the
+    /// lowest-priority standby's death. `None` is the classic pair, a
+    /// group of two.
     pub group_size: Option<usize>,
     /// BFT-lite digest vote quorum forwarded to group slots (ignored for
     /// classic pairs).
@@ -288,16 +287,19 @@ impl PairPlan {
         }
     }
 
-    /// The group configuration this plan runs under when the fleet
-    /// schedules N-replica groups: the pair's drawn primary crash becomes
-    /// the group's first (and only) kill, a drawn backup kill becomes the
-    /// rank-1 standby's death.
+    /// The group configuration this plan's slot runs under: the drawn
+    /// primary crash becomes the group's first (and only) kill, a drawn
+    /// backup kill the death of the lowest-priority standby — rank slot
+    /// `size - 2`, which at size 2 is the pair's only backup. Sizes below
+    /// 2 are refused by [`GroupTask::new`].
     pub fn group_config(&self, cfg: &FleetConfig, size: usize) -> GroupConfig {
         GroupConfig {
             size,
             vote_quorum: cfg.vote_quorum,
             kills: if self.fault.is_armed() { vec![self.fault] } else { Vec::new() },
-            kill_standby_after_units: self.kill_backup_after_units.map(|units| (1, units)),
+            kill_standby_after_units: self
+                .kill_backup_after_units
+                .map(|units| (size.saturating_sub(2), units)),
             reintegrate: cfg.reintegrate,
             ..GroupConfig::default()
         }
@@ -337,12 +339,13 @@ pub struct PairOutcome {
     /// The surviving console matched the expected output exactly and no
     /// output id was duplicated (only meaningful when `survived`).
     pub output_ok: bool,
-    /// Measured failover latency (zero for failure-free pairs).
+    /// Measured latency of the first failover, detection plus suffix
+    /// replay (zero for failure-free pairs).
     pub failover_latency: SimTime,
     /// A fatal error the pair's run raised, if any.
     pub error: Option<String>,
-    /// Failure timeline, newest last (group slots record promotion,
-    /// eviction, and re-homing moments; classic pairs leave it empty).
+    /// Failure timeline, newest last: kills, detections, promotions,
+    /// evictions, and re-homing moments.
     pub timeline: Vec<String>,
 }
 
@@ -437,35 +440,17 @@ pub fn journal_program(n: i64) -> Result<Arc<Program>, VmError> {
     b.build(entry).map(Arc::new).map_err(|e| VmError::Internal(format!("journal program: {e:?}")))
 }
 
-/// One scheduler slot's replication machinery: a classic pair or an
-/// N-replica group, stepped uniformly by the event loop.
-enum SlotTask {
-    /// The legacy primary/backup pair.
-    Pair(Box<PairTask>),
-    /// A k-replica group with rank-ordered promotion.
-    Group(Box<GroupTask>),
-}
-
-impl WindowTask for SlotTask {
+impl WindowTask for GroupTask {
     fn now(&self) -> SimTime {
-        match self {
-            SlotTask::Pair(t) => t.now(),
-            SlotTask::Group(t) => t.now(),
-        }
+        GroupTask::now(self)
     }
 
     fn is_done(&self) -> bool {
-        match self {
-            SlotTask::Pair(t) => t.is_done(),
-            SlotTask::Group(t) => t.is_done(),
-        }
+        GroupTask::is_done(self)
     }
 
     fn step(&mut self, until: SimTime) -> Result<(), VmError> {
-        match self {
-            SlotTask::Pair(t) => t.step(until).map(|_| ()),
-            SlotTask::Group(t) => t.step(until).map(|_| ()),
-        }
+        GroupTask::step(self, until).map(|_| ())
     }
 }
 
@@ -513,7 +498,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, VmError> {
         trunk_per_byte: cfg.shared_per_byte,
     };
 
-    let build = |pair_id: u32, port: Option<&SharedLink>| -> Result<SlotTask, VmError> {
+    let build = |pair_id: u32, port: Option<&SharedLink>| -> Result<GroupTask, VmError> {
         let plan = &plans[pair_id as usize];
         let program = {
             let mut cache = programs
@@ -528,60 +513,38 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, VmError> {
                 }
             }
         };
-        let mut ft = plan.ft_config(cfg);
-        if cfg.group_size.is_some() {
-            // The group schedules its own kills; the runtime fault plan
-            // would double-fire.
-            ft.fault = FaultPlan::None;
-        }
-        let mut rt = ReplicaRuntime::new(program, natives.clone(), ft);
+        let mut rt = ReplicaRuntime::new(program, natives.clone(), plan.ft_config(cfg));
         if let Some(link) = port {
             rt.set_shared_bandwidth(link.clone(), plan.start_offset);
         }
-        match cfg.group_size {
-            Some(size) => GroupTask::new(rt, plan.group_config(cfg, size))
-                .map(|t| SlotTask::Group(Box::new(t))),
-            None => PairTask::checkpointed(rt, plan.checkpoint_plan(cfg))
-                .map(|t| SlotTask::Pair(Box::new(t))),
-        }
+        GroupTask::new(rt, plan.group_config(cfg, cfg.group_size.unwrap_or(2)))
     };
 
-    let finish = |pair_id: u32, task: Result<SlotTask, VmError>| -> SlotResult {
+    let finish = |pair_id: u32, task: Result<GroupTask, VmError>| -> SlotResult {
         let plan = &plans[pair_id as usize];
-        match task {
+        match task.and_then(GroupTask::into_report) {
             Err(e) => SlotResult { outcome: error_outcome(plan, &e), routing: None },
-            Ok(SlotTask::Pair(task)) => {
-                let (outcome, report) = finish_pair(plan, cfg, *task);
-                let routing = report.map(|report| {
-                    let backup_end =
-                        report.backup.as_ref().map(|b| b.acct.now()).unwrap_or(SimTime::ZERO);
-                    SlotRouting {
-                        done: completions(plan, &report),
-                        end: report.primary.acct.now().max(backup_end),
-                        peak_suffix: report.primary_stats.peak_suffix_frames,
-                        peak_pending: report
-                            .backup_stats
-                            .as_ref()
-                            .map_or(0, |bs| bs.peak_backup_pending),
-                    }
-                });
-                SlotResult { outcome, routing }
-            }
-            Ok(SlotTask::Group(task)) => {
-                let (outcome, report) = finish_group(plan, cfg, *task);
-                let routing = report.map(|report| SlotRouting {
-                    done: group_completions(plan, &report),
-                    end: report.final_report.acct.now(),
+            Ok(report) => SlotResult {
+                outcome: slot_outcome(plan, cfg, &report),
+                routing: Some(SlotRouting {
+                    done: completions(plan, &report),
+                    end: report
+                        .standby
+                        .iter()
+                        .map(|s| s.report.acct.now())
+                        .fold(report.final_report.acct.now(), SimTime::max),
                     peak_suffix: report
                         .reigns
                         .iter()
                         .map(|r| r.stats.peak_suffix_frames)
                         .max()
                         .unwrap_or(0),
-                    peak_pending: 0,
-                });
-                SlotResult { outcome, routing }
-            }
+                    peak_pending: report
+                        .standby
+                        .as_ref()
+                        .map_or(0, |s| s.stats.peak_backup_pending),
+                }),
+            },
         }
     };
 
@@ -609,58 +572,9 @@ fn error_outcome(plan: &PairPlan, e: &VmError) -> PairOutcome {
     }
 }
 
-/// Finalizes a completed pair: verification plus the outcome record.
-/// The report rides back alongside so the router can pull its commit
-/// samples (reports are dropped after aggregation; outcomes are kept).
-fn finish_pair(
-    plan: &PairPlan,
-    cfg: &FleetConfig,
-    task: PairTask,
-) -> (PairOutcome, Option<PairReport>) {
-    let (_killed, degraded_at, reintegrated_at) = task.checkpoint_timeline();
-    let report = match task.into_pair_report() {
-        Ok(r) => r,
-        Err(e) => return (error_outcome(plan, &e), None),
-    };
-    let survived = !report.crashed || report.backup.is_some();
-    let output_ok = if cfg.verify {
-        survived
-            && report.console() == plan.expected_console()
-            && report.check_no_duplicate_outputs().is_ok()
-    } else {
-        survived
-    };
-    let outcome = PairOutcome {
-        pair_id: plan.pair_id,
-        rack: plan.rack,
-        requests: plan.requests,
-        served: 0, // filled by the router
-        planned_crash: plan.fault.is_armed(),
-        planned_kill: plan.kill_backup_after_units.is_some(),
-        crashed: report.crashed,
-        degraded: degraded_at.is_some(),
-        reintegrated: reintegrated_at.is_some(),
-        survived,
-        output_ok,
-        failover_latency: report.failover_latency,
-        error: None,
-        timeline: Vec::new(),
-    };
-    (outcome, Some(report))
-}
-
-/// Finalizes a completed group slot: verification plus the outcome
-/// record, with the group's failure timeline carried into the outcome
-/// for divergence reporting.
-fn finish_group(
-    plan: &PairPlan,
-    cfg: &FleetConfig,
-    task: GroupTask,
-) -> (PairOutcome, Option<GroupReport>) {
-    let report = match task.into_report() {
-        Ok(r) => r,
-        Err(e) => return (error_outcome(plan, &e), None),
-    };
+/// The outcome record of a finished slot of any size: verification plus
+/// what the group's typed report says happened.
+fn slot_outcome(plan: &PairPlan, cfg: &FleetConfig, report: &GroupReport) -> PairOutcome {
     let survived = report.completed;
     let output_ok = if cfg.verify {
         survived
@@ -669,54 +583,39 @@ fn finish_group(
     } else {
         survived
     };
-    let outcome = PairOutcome {
+    PairOutcome {
         pair_id: plan.pair_id,
         rack: plan.rack,
         requests: plan.requests,
         served: 0, // filled by the router
         planned_crash: plan.fault.is_armed(),
         planned_kill: plan.kill_backup_after_units.is_some(),
-        crashed: !report.failovers.is_empty(),
-        // Every promotion passes through a degraded window while the
-        // survivors re-home.
-        degraded: !report.failovers.is_empty(),
-        reintegrated: report.timeline.iter().any(|m| m.what.contains("reintegrated")),
+        crashed: report.crashed,
+        degraded: report.degraded_at.is_some(),
+        reintegrated: !report.reintegrated.is_empty(),
         survived,
         output_ok,
         failover_latency: report
             .failovers
             .first()
-            .map(|f| f.detection_latency)
-            .unwrap_or(SimTime::ZERO),
+            .map_or(SimTime::ZERO, |f| f.detection_latency + f.suffix_replay),
         error: None,
         timeline: report.timeline.iter().map(ToString::to_string).collect(),
-    };
-    (outcome, Some(report))
+    }
 }
 
-/// Globalized commit completions of one pair, sorted by release instant:
-/// `(global release ns, pessimistic wait ns)`.
-fn completions(plan: &PairPlan, report: &PairReport) -> Vec<(u64, u64)> {
-    let base = plan.start_offset.as_nanos();
-    let mut all: Vec<(u64, u64)> = report
-        .primary_stats
-        .commit_samples
-        .iter()
-        .chain(report.backup_stats.iter().flat_map(|s| s.commit_samples.iter()))
-        .map(|&(at, wait)| (base + at, wait))
-        .collect();
-    all.sort_unstable();
-    all
-}
-
-/// Globalized commit completions of one group slot: every reign's
-/// primary-side commit samples, sorted by release instant.
-fn group_completions(plan: &PairPlan, report: &GroupReport) -> Vec<(u64, u64)> {
+/// Globalized commit completions of one slot, sorted by release instant:
+/// `(global release ns, pessimistic wait ns)` — every reign's primary-side
+/// samples plus the outputs a surviving standby performed past the log's
+/// end.
+fn completions(plan: &PairPlan, report: &GroupReport) -> Vec<(u64, u64)> {
     let base = plan.start_offset.as_nanos();
     let mut all: Vec<(u64, u64)> = report
         .reigns
         .iter()
-        .flat_map(|r| r.stats.commit_samples.iter())
+        .map(|r| &r.stats)
+        .chain(report.standby.iter().map(|s| &s.stats))
+        .flat_map(|stats| stats.commit_samples.iter())
         .map(|&(at, wait)| (base + at, wait))
         .collect();
     all.sort_unstable();
@@ -770,9 +669,9 @@ fn aggregate(
     let mut peak_pending = 0u64;
 
     for (plan, result) in plans.iter().zip(results.iter_mut()) {
-        // Both report kinds already reduced to the same routing inputs
-        // on the owning worker: commit completions, the slot's end
-        // instant, and the replay peaks.
+        // The report already reduced to routing inputs on the owning
+        // worker: commit completions, the slot's end instant, and the
+        // replay peaks.
         let Some(routing) = result.routing.as_ref() else { continue };
         let (matched, _unserved) = route_pair(cfg, plan, &routing.done);
         result.outcome.served = matched.len() as u64;

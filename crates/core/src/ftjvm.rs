@@ -12,11 +12,12 @@
 //!   backup detects the failure, replays the log, and carries the program
 //!   to completion as the new authority.
 //!
-//! All orchestration lives in [`crate::runtime::ReplicaRuntime`]; the
-//! `run_*` methods here are thin wrappers. Set
-//! [`FtConfig::lag_budget`] to [`LagBudget::Hot`] to co-simulate a hot
-//! standby that streams the log and replays only the unconsumed suffix at
-//! failover.
+//! Replicas are built by [`crate::runtime::ReplicaRuntime`] and driven by
+//! one replication driver: [`crate::group::GroupTask`] for everything hot
+//! (a pair is a group with one standby), [`crate::pair::PairTask`] for the
+//! cold store-only modes. Set [`FtConfig::lag_budget`] to
+//! [`LagBudget::Hot`] to co-simulate a hot standby that streams the log
+//! and replays only the unconsumed suffix at failover.
 
 use crate::runtime::{LagBudget, ReplicaRuntime};
 use crate::se::SeRegistry;
@@ -134,12 +135,6 @@ pub struct FtConfig {
     pub net_fault: NetFaultPlan,
     /// Factory for the side-effect-handler registry (one per replica).
     pub se_factory: fn() -> SeRegistry,
-    /// Worker threads for the promotion path's suffix decode (seal
-    /// verification and stateless record decode fan out; compact batches
-    /// keep their sequential context chain). Replay output is
-    /// byte-identical for every value — this knob trades wall-clock time
-    /// only. Default 1 (fully sequential).
-    pub replay_threads: usize,
 }
 
 impl Default for FtConfig {
@@ -163,7 +158,6 @@ impl Default for FtConfig {
             detector: FailureDetector::default(),
             net_fault: NetFaultPlan::default(),
             se_factory: SeRegistry::with_builtins,
-            replay_threads: 1,
         }
     }
 }
@@ -324,7 +318,8 @@ impl FtJvm {
 
     /// Runs an N-replica group per `gcfg`: rank-ordered promotion chains,
     /// configurable ack policies, and optional ND-record digest voting
-    /// (requires [`FtConfig::checkpoint_interval`]). See
+    /// (requires [`FtConfig::checkpoint_interval`] whenever a join could
+    /// need a state transfer). Size 2 is the hot pair. See
     /// [`crate::group::GroupTask`].
     ///
     /// # Errors

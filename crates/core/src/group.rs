@@ -1,8 +1,9 @@
 //! N-replica groups: rank-ordered promotion chains and ND-record quorum
 //! voting (BFT-lite).
 //!
-//! [`GroupTask`] generalizes [`crate::pair::PairTask`] from one standby to
-//! `k`: the primary fans its sealed frame stream over `k` independent
+//! [`GroupTask`] is the one driver that slices a hot primary and feeds
+//! its standbys — a hot pair ([`crate::pair::PairTask`]) is a group of
+//! size 2. The primary fans its sealed frame stream over `k` independent
 //! links (one [`crate::primary::LogChannel`] per standby, each with its
 //! own send/receive windows on a lossy transport), every standby
 //! acknowledges independently, and output commit waits on a configurable
@@ -15,7 +16,9 @@
 //! transfer (their old decode context belongs to the dead reign's
 //! stream), so the group tolerates a *chain* of failovers: each reign is
 //! a fresh fan-out from the newest primary, and each promotion continues
-//! the dead reign's exactly-once output numbering.
+//! the dead reign's exactly-once output numbering. The chain ends when
+//! the promoting standby held the only seat: with nobody left to stream
+//! to, it finishes the program as the backup it is.
 //!
 //! # BFT-lite digest voting
 //!
@@ -43,7 +46,6 @@ use crate::codec::{
     flush_digest, frame_digest, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk,
     frame_is_vote, parse_vote_frame, SnapshotAssembler,
 };
-use crate::pair::pump_backup;
 use crate::primary::{AckPolicy, PrimaryCore};
 use crate::runtime::{Replica, ReplicaRuntime, SLICE_UNITS};
 use crate::stats::ReplicationStats;
@@ -71,8 +73,9 @@ pub struct GroupConfig {
     pub kills: Vec<FaultPlan>,
     /// Kill the standby at this rank slot after this many primary
     /// execution units (fail-stop; the primary notices via its reverse
-    /// heartbeat detector). Fires at most once, in whatever reign reaches
-    /// the unit count.
+    /// heartbeat detector). Fires at most once, at the first slice past
+    /// the unit count (reign-relative) at which that slot's standby is
+    /// live. The slot must exist (`< size - 1`).
     pub kill_standby_after_units: Option<(usize, u64)>,
     /// Re-recruit dead, evicted, and re-homing standbys via snapshot +
     /// chunked state transfer. Without it any lost standby stays lost and
@@ -111,7 +114,8 @@ pub enum GroupEvent {
     /// Every standby is dead: the primary stopped waiting for
     /// acknowledgments.
     Degraded {
-        /// The degraded-entry instant.
+        /// The degraded-entry instant (the reverse detector's deadline, or
+        /// the eviction instant).
         at: SimTime,
     },
     /// A standby finished state transfer and went live.
@@ -166,6 +170,8 @@ pub struct FailoverRecord {
 pub struct ReignStats {
     /// Member id of the replica that reigned.
     pub member: u32,
+    /// Its run report at reign end (completion, crash, or demotion).
+    pub report: RunReport,
     /// Its replication statistics.
     pub stats: ReplicationStats,
     /// Per-link channel statistics, in rank-slot order.
@@ -185,6 +191,21 @@ impl std::fmt::Display for GroupMoment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{:>12}ns] {}", self.at.as_nanos(), self.what)
     }
+}
+
+/// The standby side of a run's end: the lowest-rank standby still live
+/// when the run ended, after it replayed the stream to its end — quietly
+/// behind a primary that completed, or, as the last seat of a promotion
+/// chain, on through the rest of the program.
+#[derive(Debug)]
+pub struct StandbyEnd {
+    /// Member id of that standby.
+    pub member: u32,
+    /// Its run report.
+    pub report: RunReport,
+    /// Its backup-side replication statistics (pending-record watermark,
+    /// commit samples of outputs it performed past the log's end).
+    pub stats: ReplicationStats,
 }
 
 /// The finished report of one replica-group run.
@@ -207,6 +228,16 @@ pub struct GroupReport {
     pub evictions: u64,
     /// Primary-side statistics per reign, in order.
     pub reigns: Vec<ReignStats>,
+    /// The standby side of the run's end; `None` when no standby was live.
+    pub standby: Option<StandbyEnd>,
+    /// When the scheduled standby kill fired.
+    pub standby_killed_at: Option<SimTime>,
+    /// When a reigning primary first ran with no live standby: the reverse
+    /// detector's deadline for the last one, an eviction, or a promotion
+    /// into a reign whose seats are still re-homing.
+    pub degraded_at: Option<SimTime>,
+    /// Every instant a standby finished state transfer and went live.
+    pub reintegrated: Vec<SimTime>,
     /// The failure timeline, in order.
     pub timeline: Vec<GroupMoment>,
     /// The shared world: console, files, applied outputs.
@@ -282,10 +313,6 @@ impl VoteGate {
     /// Released records carry their *vote's* arrival instant — the
     /// standby may not act on them before verification completes.
     fn admit(&mut self, arrival: SimTime, frame: Bytes, out: &mut Vec<(SimTime, Bytes)>) {
-        if !self.enabled {
-            out.push((arrival, frame));
-            return;
-        }
         if self.stalled {
             return;
         }
@@ -321,6 +348,9 @@ impl VoteGate {
     }
 
     fn admit_all(&mut self, delivered: Vec<(SimTime, Bytes)>) -> Vec<(SimTime, Bytes)> {
+        if !self.enabled {
+            return delivered;
+        }
         let mut out = Vec::with_capacity(delivered.len());
         for (arrival, frame) in delivered {
             self.admit(arrival, frame, &mut out);
@@ -400,11 +430,13 @@ pub struct GroupTask {
     /// Next unassigned incarnation rank — re-badged slots (refilled
     /// ex-primary seats) draw fresh ranks from here.
     fresh_rank: u32,
-    standby_kill_done: bool,
     crashes: u64,
     evictions: u64,
     failovers: Vec<FailoverRecord>,
     reigns: Vec<ReignStats>,
+    standby_killed_at: Option<SimTime>,
+    degraded_at: Option<SimTime>,
+    reintegrated: Vec<SimTime>,
     timeline: Vec<GroupMoment>,
     report: Option<GroupReport>,
 }
@@ -480,8 +512,7 @@ fn deliver_slot(
                         .offer(&frame)
                         .map_err(|e| VmError::Internal(format!("snapshot transfer: {e}")))?;
                     if let Some((_epoch, blob)) = done {
-                        let mut nb =
-                            Box::new(rt.build_resumed_backup_ranked(world, &blob, slot.rank)?);
+                        let mut nb = Box::new(rt.build_resumed_backup(world, &blob, slot.rank)?);
                         nb.wait_until(arrival);
                         slot.monitor = rt.cfg().detector.monitor(arrival);
                         slot.report = None;
@@ -511,24 +542,68 @@ fn deliver_slot(
     }
 }
 
+/// Feeds delivered `(arrival, frame)` pairs into a hot standby, re-arming
+/// the failure detector at each heartbeat arrival, then lets the standby
+/// replay until it catches up with the log (starves) or finishes.
+fn pump_backup(
+    backup: &mut Replica,
+    monitor: &mut HeartbeatMonitor,
+    delivered: Vec<(SimTime, Bytes)>,
+    done: &mut Option<RunReport>,
+) -> Result<(), VmError> {
+    if delivered.is_empty() {
+        return Ok(());
+    }
+    for (arrival, frame) in delivered {
+        if backup.feed_frame(arrival, frame)? > 0 {
+            monitor.observe(arrival);
+        }
+    }
+    if done.is_some() {
+        return Ok(());
+    }
+    backup.poll_suspended();
+    match backup.step(u64::MAX)? {
+        SliceOutcome::Paused => {}
+        SliceOutcome::Completed(r) | SliceOutcome::Stopped(r) => *done = Some(r),
+        SliceOutcome::Budget => {
+            Err(VmError::Internal("unbounded backup slice exhausted its budget".into()))?;
+        }
+    }
+    Ok(())
+}
+
 impl GroupTask {
     /// Builds a replica group: a primary fanning out to `size - 1` ranked
     /// hot standbys. Rank slot 0 is the classic pair backup, bit for bit.
     ///
     /// # Errors
     /// Returns an error when [`crate::FtConfig::checkpoint_interval`] is
-    /// unset (state transfer grounds every join, so groups require
-    /// checkpointing), when the size or quorum is out of range, and
-    /// propagates program-loading errors.
+    /// unset although a join could need a state transfer (any group but a
+    /// size-2 one that never re-integrates), when the size, quorum, or
+    /// standby-kill slot is out of range, and propagates program-loading
+    /// errors.
     pub fn new(rt: ReplicaRuntime, cfg: GroupConfig) -> Result<Self, VmError> {
         if cfg.size < 2 {
             return Err(VmError::Internal("a replica group needs at least 2 members".into()));
         }
-        if rt.cfg().checkpoint_interval.is_none() {
+        // Snapshots ground every join: re-integration of a lost standby,
+        // and the re-homing of the other seats after a promotion.
+        let joins_possible = cfg.reintegrate || cfg.size > 2;
+        if joins_possible && rt.cfg().checkpoint_interval.is_none() {
             return Err(VmError::Internal(
                 "replica groups require FtConfig::checkpoint_interval (state transfer grounds every join)"
                     .into(),
             ));
+        }
+        if let Some((idx, _)) = cfg.kill_standby_after_units {
+            if idx >= cfg.size - 1 {
+                return Err(VmError::Internal(format!(
+                    "kill_standby_after_units names rank slot {idx}, but a group of {} has slots 0..{}",
+                    cfg.size,
+                    cfg.size - 1
+                )));
+            }
         }
         if let Some(q) = cfg.vote_quorum {
             if q < 2 || q as usize > cfg.size {
@@ -554,7 +629,7 @@ impl GroupTask {
         }
         let mut slots = Vec::with_capacity(cfg.size - 1);
         for i in 0..cfg.size - 1 {
-            let b = rt.build_hot_backup_ranked(&world, i as u32)?;
+            let b = rt.build_hot_backup(&world, i as u32)?;
             slots.push(Slot {
                 member: i as u32 + 1,
                 rank: i as u32,
@@ -576,11 +651,13 @@ impl GroupTask {
             cfg,
             state,
             fresh_rank,
-            standby_kill_done: false,
             crashes: 0,
             evictions: 0,
             failovers: Vec::new(),
             reigns: Vec::new(),
+            standby_killed_at: None,
+            degraded_at: None,
+            reintegrated: Vec::new(),
             timeline: Vec::new(),
             report: None,
         })
@@ -600,6 +677,11 @@ impl GroupTask {
     /// [`GroupEvent::Done`].
     pub fn is_done(&self) -> bool {
         matches!(self.state, GState::Finished)
+    }
+
+    /// The world every member of the group shares.
+    pub(crate) fn world(&self) -> &SharedWorld {
+        &self.world
     }
 
     /// The finished report, if the run is over.
@@ -648,7 +730,13 @@ impl GroupTask {
         self.timeline.push(GroupMoment { at, what });
     }
 
-    fn finish(&mut self, final_report: RunReport, survivor: u32, completed: bool) {
+    fn finish(
+        &mut self,
+        final_report: RunReport,
+        survivor: u32,
+        completed: bool,
+        standby: Option<StandbyEnd>,
+    ) {
         self.report = Some(GroupReport {
             size: self.cfg.size,
             final_report,
@@ -658,10 +746,33 @@ impl GroupTask {
             failovers: std::mem::take(&mut self.failovers),
             evictions: self.evictions,
             reigns: std::mem::take(&mut self.reigns),
+            standby,
+            standby_killed_at: self.standby_killed_at,
+            degraded_at: self.degraded_at,
+            reintegrated: std::mem::take(&mut self.reintegrated),
             timeline: std::mem::take(&mut self.timeline),
             world: self.world.clone(),
         });
         self.state = GState::Finished;
+    }
+
+    /// Marks link `idx`'s standby dead on the reigning primary; with no
+    /// live link left the primary goes degraded (output commits stop
+    /// waiting for acknowledgments). Returns whether it did.
+    fn drop_link(
+        &mut self,
+        primary: &mut Replica,
+        idx: usize,
+        at: SimTime,
+    ) -> Result<bool, VmError> {
+        let core = core_of(primary)?;
+        core.mark_link_dead(idx);
+        if core.live_links() > 0 || core.is_degraded() {
+            return Ok(false);
+        }
+        core.enter_degraded();
+        self.degraded_at.get_or_insert(at);
+        Ok(true)
     }
 
     /// One reign's co-simulation pass: slice the primary, apply the kill
@@ -676,35 +787,33 @@ impl GroupTask {
             st.units_run += SLICE_UNITS;
             let now_p = st.primary.now();
             let mut killed_now: Option<u32> = None;
-            let mut degraded_now = false;
+            let mut degraded_now: Option<SimTime> = None;
             let mut reintegrated_now: Option<(SimTime, u32)> = None;
             let mut evicted_now: Option<u32> = None;
 
             // Scheduled standby kill: fail-stop at a slice boundary. The
             // primary only learns of it when the reverse-heartbeat
             // deadline lapses below.
-            if let Some((idx, after)) = self.cfg.kill_standby_after_units {
-                if !self.standby_kill_done && st.units_run >= after {
-                    self.standby_kill_done = true;
-                    if let Some(slot) = st.slots.get_mut(idx) {
-                        if let SlotState::Live(mut dead) =
-                            std::mem::replace(&mut slot.state, SlotState::Dead)
-                        {
-                            dead.fail_env();
-                            slot.report = None;
-                            slot.dead_deadline =
-                                Some(self.rt.cfg().detector.monitor(now_p).deadline());
-                            let member = slot.member;
-                            killed_now = Some(member);
-                            self.note(now_p, format!("standby m{member} killed"));
-                        }
-                    }
+            if let (Some((idx, after)), None) =
+                (self.cfg.kill_standby_after_units, self.standby_killed_at)
+            {
+                let slot = &mut st.slots[idx];
+                if let (true, SlotState::Live(standby)) = (st.units_run >= after, &mut slot.state) {
+                    standby.fail_env();
+                    slot.state = SlotState::Dead;
+                    slot.report = None;
+                    slot.dead_deadline = Some(self.rt.cfg().detector.monitor(now_p).deadline());
+                    let member = slot.member;
+                    self.standby_killed_at = Some(now_p);
+                    killed_now = Some(member);
+                    self.note(now_p, format!("standby m{member} killed"));
                 }
             }
 
             // Reverse failure detection, per slot: acknowledgment waits
             // keep counting a killed standby's link until its deadline
-            // lapses (the same phantom-ack window the pair documents).
+            // lapses — a timing artifact only (phantom transport acks of a
+            // dead host); exactly-once output is unaffected.
             for idx in 0..st.slots.len() {
                 let Some(deadline) = st.slots[idx].dead_deadline else { continue };
                 if now_p < deadline {
@@ -712,11 +821,8 @@ impl GroupTask {
                 }
                 st.slots[idx].dead_deadline = None;
                 let member = st.slots[idx].member;
-                let core = core_of(&mut st.primary)?;
-                core.mark_link_dead(idx);
-                if core.live_links() == 0 && !core.is_degraded() {
-                    core.enter_degraded();
-                    degraded_now = true;
+                if self.drop_link(&mut st.primary, idx, deadline)? {
+                    degraded_now = Some(deadline);
                     self.note(deadline, format!("standby m{member} declared dead; degraded"));
                 } else {
                     self.note(deadline, format!("standby m{member} declared dead"));
@@ -733,7 +839,7 @@ impl GroupTask {
                     .position(|s| matches!(s.state, SlotState::Dead) && s.dead_deadline.is_none());
                 if let Some(idx) = dead {
                     let fresh = self.rt.make_channel();
-                    if st.primary.begin_state_transfer_on(idx, fresh)? {
+                    if st.primary.begin_state_transfer(idx, fresh)? {
                         let base = st.primary.snapshot_epoch();
                         let slot = &mut st.slots[idx];
                         slot.ack_base = base;
@@ -752,9 +858,10 @@ impl GroupTask {
 
             // Fan-in: deliver each link's verified arrivals to its slot.
             for idx in 0..st.slots.len() {
-                let ready = st.primary.recv_ready_link(idx, now_p)?;
+                let ready = st.primary.recv_ready(idx, now_p)?;
                 if let Some(at) = deliver_slot(&self.rt, &self.world, &mut st.slots[idx], ready)? {
                     let member = st.slots[idx].member;
+                    self.reintegrated.push(at);
                     reintegrated_now = Some((at, member));
                     self.note(at, format!("standby m{member} reintegrated at rank slot {idx}"));
                 }
@@ -788,11 +895,8 @@ impl GroupTask {
                         }
                         st.slots[idx].report = None;
                         st.slots[idx].dead_deadline = None;
-                        let core = core_of(&mut st.primary)?;
-                        core.mark_link_dead(idx);
-                        if core.live_links() == 0 && !core.is_degraded() {
-                            core.enter_degraded();
-                            degraded_now = true;
+                        if self.drop_link(&mut st.primary, idx, now_p)? {
+                            degraded_now = Some(now_p);
                         }
                         self.evictions += 1;
                         evicted_now = Some(member);
@@ -813,12 +917,14 @@ impl GroupTask {
             match outcome {
                 SliceOutcome::Budget => {
                     st.primary.try_cut_epoch()?;
+                    // Yield on milestones (latest wins) or on reaching the
+                    // step target; otherwise keep iterating.
                     let event = if let Some(member) = evicted_now {
                         Some(GroupEvent::Evicted { at: now_p, member })
                     } else if let Some((at, member)) = reintegrated_now {
                         Some(GroupEvent::Reintegrated { at, member })
-                    } else if degraded_now {
-                        Some(GroupEvent::Degraded { at: now_p })
+                    } else if let Some(at) = degraded_now {
+                        Some(GroupEvent::Degraded { at })
                     } else if let Some(member) = killed_now {
                         Some(GroupEvent::StandbyKilled { at: now_p, member })
                     } else if now_p >= until {
@@ -843,25 +949,35 @@ impl GroupTask {
         let crash_at = primary_report.acct.now();
         let ReignState { reign, member, mut primary, mut slots, .. } = *st;
         if crashed {
+            // Fail-stop: the primary's volatile environment state is lost
+            // with its process; the external world survives.
             primary.fail_env();
         }
         let (mut links, pstats) = (*primary).into_group_parts()?;
-        // Takeover delivery: everything flushed and verified in order per
-        // link reaches its slot (a state transfer may complete during the
-        // drain — chunks already on the wire when the primary died).
+        // Takeover delivery: everything flushed *and verified in order* per
+        // link reaches its slot; records still in the primary's buffer —
+        // and, on a lossy link, frames beyond an unresolved gap — are lost
+        // with it. A state transfer may complete during the drain (chunks
+        // already on the wire when the primary died).
         let mut channels = Vec::with_capacity(links.len());
         for (idx, link) in links.iter_mut().enumerate() {
             let drained = link.drain();
             if let Some(slot) = slots.get_mut(idx) {
                 if let Some(at) = deliver_slot(&self.rt, &self.world, slot, drained)? {
                     let m = slot.member;
+                    self.reintegrated.push(at);
                     self.note(at, format!("standby m{m} reintegrated during takeover"));
                 }
             }
             channels.push(link.stats());
         }
         let demoted_by_vote = pstats.byzantine_demotions > 0;
-        self.reigns.push(ReignStats { member, stats: pstats, channels });
+        self.reigns.push(ReignStats {
+            member,
+            report: primary_report.clone(),
+            stats: pstats,
+            channels,
+        });
 
         if !crashed {
             // Failure-free reign end: the stream is over; every healthy
@@ -869,19 +985,26 @@ impl GroupTask {
             // commit record, so replay suppresses them all). Stalled
             // standbys hold their verified prefix and are dropped — their
             // gate refused frames, so running them live would re-execute.
+            let mut standby = None;
             for slot in &mut slots {
                 if slot.gate.stalled {
                     continue;
                 }
                 if let SlotState::Live(b) = &mut slot.state {
                     b.finish_stream();
-                    if slot.report.is_none() {
-                        slot.report = Some(b.run_to_end()?);
-                    }
+                    let report = match slot.report.take() {
+                        Some(r) => r,
+                        None => b.run_to_end()?,
+                    };
+                    standby.get_or_insert(StandbyEnd {
+                        member: slot.member,
+                        report,
+                        stats: b.backup_stats(),
+                    });
                 }
             }
             self.note(crash_at, format!("m{member} completed the program"));
-            self.finish(primary_report, member, true);
+            self.finish(primary_report, member, true, standby);
             return Ok(GroupEvent::Done);
         }
 
@@ -896,50 +1019,70 @@ impl GroupTask {
         );
 
         // Rank-ordered promotion: the lowest-rank live standby takes over.
+        // Without one the run exceeded its fault model; report what
+        // happened.
         let Some(chosen) = slots.iter().position(Slot::is_live) else {
             self.note(crash_at, "no live standby: the group is lost".into());
-            self.finish(primary_report, member, false);
+            self.finish(primary_report, member, false, None);
             return Ok(GroupEvent::PrimaryFailed { at: crash_at, reign });
         };
         let slot = slots.remove(chosen);
-        let SlotState::Live(mut b) = slot.state else { unreachable!("position() checked is_live") };
+        let SlotState::Live(mut b) = slot.state else {
+            return Err(VmError::Internal("promotion chose a standby that is not live".into()));
+        };
+        // Detection fires when the heartbeat deadline lapses — measured on
+        // the arrival timeline, not computed from the crash instant (which
+        // no one observes). The standby learns of the failure then and
+        // becomes the authority.
         let detection_at = slot.monitor.deadline().max(crash_at);
         let detection_latency = detection_at - crash_at;
         b.wait_until(detection_at);
+        let promoted_at = b.now();
         b.finish_stream();
-        // Catch-up replay of the verified suffix, sliced so promotion
-        // happens the moment recovery completes. The (rare) completion
-        // here means the program ended inside the dead reign's log.
-        let mut completed_report = slot.report;
-        while completed_report.is_none() && (!b.recovery_complete() || b.replay_pending() > 0) {
-            match b.step(SLICE_UNITS)? {
-                SliceOutcome::Budget => {}
-                SliceOutcome::Paused => {
-                    return Err(VmError::Internal(
-                        "promoting standby paused after stream end".into(),
-                    ));
+        let finished = match slot.report {
+            Some(r) => Some(r),
+            // The chain ends when the promoting standby held the only
+            // seat: nobody is left to stream to, so it carries the program
+            // to completion as the backup it is (one coarse run — slicing
+            // would add thread-scheduling consults).
+            None if slots.is_empty() => Some(b.run_to_end()?),
+            // Catch-up replay of the verified suffix, sliced so promotion
+            // happens the moment recovery completes. The (rare) completion
+            // here means the program ended inside the dead reign's log.
+            None => {
+                let mut done = None;
+                while done.is_none() && (!b.recovery_complete() || b.replay_pending() > 0) {
+                    match b.step(SLICE_UNITS)? {
+                        SliceOutcome::Budget => {}
+                        SliceOutcome::Paused => {
+                            return Err(VmError::Internal(
+                                "promoting standby paused after stream end".into(),
+                            ));
+                        }
+                        SliceOutcome::Completed(r) => done = Some(r),
+                        SliceOutcome::Stopped(_) => {
+                            return Err(VmError::Internal("promoting standby fail-stopped".into()));
+                        }
+                    }
                 }
-                SliceOutcome::Completed(r) => completed_report = Some(r),
-                SliceOutcome::Stopped(_) => {
-                    return Err(VmError::Internal("promoting standby fail-stopped".into()));
-                }
+                done
             }
-        }
+        };
+        // Only the unconsumed suffix of the log remained to replay.
         let recovered_at = b.recovery_completed_at().unwrap_or_else(|| b.now());
-        let suffix_replay =
-            if recovered_at > detection_at { recovered_at - detection_at } else { SimTime::ZERO };
         self.failovers.push(FailoverRecord {
             reign,
             crash_at,
             detection_latency,
-            suffix_replay,
+            suffix_replay: recovered_at.saturating_sub(promoted_at),
             promoted: slot.member,
             demoted_by_vote,
         });
-        self.note(detection_at, format!("m{} promoted (reign {})", slot.member, reign + 1));
-
-        if let Some(r) = completed_report {
-            self.finish(r, slot.member, true);
+        if let Some(r) = finished {
+            self.note(detection_at, format!("m{} took over and finished the program", slot.member));
+            let standby =
+                StandbyEnd { member: slot.member, report: r.clone(), stats: b.backup_stats() };
+            self.finish(r, slot.member, true, Some(standby));
             return Ok(GroupEvent::PrimaryFailed { at: crash_at, reign });
         }
 
@@ -953,6 +1096,7 @@ impl GroupTask {
         // promotion priority), so the group regains full strength — in
         // particular, a vote quorum of `size` stays reachable after a
         // demotion.
+        self.note(detection_at, format!("m{} promoted (reign {})", slot.member, reign + 1));
         let next_fault = self.cfg.kills.get(reign + 1).copied().unwrap_or(FaultPlan::None);
         let mut np = Box::new((*b).promote(&self.rt, next_fault, slots.len())?);
         {
@@ -960,6 +1104,7 @@ impl GroupTask {
             core.set_ack_policy(self.cfg.ack_policy);
             core.set_vote_quorum(self.cfg.vote_quorum);
         }
+        self.degraded_at.get_or_insert(detection_at);
         let promoted_member = slot.member;
         let mut new_slots = Vec::with_capacity(slots.len() + 1);
         let reslot = |member: u32, rank: u32| Slot {
@@ -984,9 +1129,7 @@ impl GroupTask {
         }
         new_slots.push(reslot(member, self.fresh_rank));
         self.fresh_rank += 1;
-        if !new_slots.is_empty() {
-            self.note(detection_at, "survivors re-homing via state transfer".into());
-        }
+        self.note(detection_at, "survivors re-homing via state transfer".into());
         self.state = GState::Run(Box::new(ReignState {
             reign: reign + 1,
             member: promoted_member,

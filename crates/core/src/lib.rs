@@ -72,9 +72,8 @@ pub use backup::{
 };
 pub use codec::{
     build_batch_frame, build_epoch_frame, build_snapshot_chunk, crc32c, decode_frames,
-    decode_frames_pipelined, frame_is_epoch_mark, frame_is_snapshot_chunk, open_frame,
-    parse_epoch_frame, parse_snapshot_chunk, seal_frame, FrameError, RecordDecoder, RecordEncoder,
-    SnapshotAssembler,
+    frame_is_epoch_mark, frame_is_snapshot_chunk, open_frame, parse_epoch_frame,
+    parse_snapshot_chunk, seal_frame, FrameError, RecordDecoder, RecordEncoder, SnapshotAssembler,
 };
 pub use fleet::{
     run_fleet, split_seed, FleetConfig, FleetReport, PairOutcome, PairPlan, RouterMode,
@@ -83,6 +82,7 @@ pub use ftjvm::{FtConfig, FtJvm, LockVariant, PairReport, ReplicationMode};
 pub use ftjvm_netsim::{NetFaultPlan, WireCodec};
 pub use group::{
     FailoverRecord, GroupConfig, GroupEvent, GroupMoment, GroupReport, GroupTask, ReignStats,
+    StandbyEnd,
 };
 pub use pair::{PairEvent, PairTask};
 pub use parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};

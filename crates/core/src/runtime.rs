@@ -1,10 +1,11 @@
 //! The replica runtime: primary and backup as [`Replica`] values on one
 //! simulated timeline.
 //!
-//! This module owns the orchestration that used to be buried in the
-//! `FtJvm::run_*` drivers. A [`Replica`] is a VM plus its replication
-//! coordinator, tagged with a [`Role`]; a [`ReplicaRuntime`] builds a
-//! primary/backup pair over a shared world and drives it:
+//! A [`Replica`] is a VM plus its replication coordinator, tagged with a
+//! [`Role`]; a [`ReplicaRuntime`] builds replicas over a shared world for
+//! the drivers that step them — [`crate::group::GroupTask`] for every hot
+//! configuration (a hot pair is a group with one standby),
+//! [`crate::pair::PairTask`] for the cold store-only modes:
 //!
 //! * **Cold backup** ([`LagBudget::Cold`]) — the paper's baseline (§1): the
 //!   backup only stores the log during normal operation; on failure it
@@ -14,7 +15,7 @@
 //! * **Hot standby** ([`LagBudget::Hot`]) — the paper's "keeping the backup
 //!   updated would require only minor modifications": primary and backup
 //!   are *co-simulated*. The primary executes in bounded instruction
-//!   slices; frames flushed to the [`ftjvm_netsim::SimChannel`] are
+//!   slices; frames flushed to each standby's link are
 //!   delivered at their simulated arrival instants and streamed into the
 //!   backup, which replays each record as it arrives (bounded-lag
 //!   streaming replay). Failure detection is driven by the heartbeat
@@ -183,32 +184,6 @@ impl Replica {
         }
     }
 
-    /// Bulk [`Replica::feed_frame`]: streams a whole buffered suffix at one
-    /// arrival instant, fanning seal verification and stateless record
-    /// decode out across `threads` workers. The backup's resulting state is
-    /// byte-identical to feeding the frames one at a time — only the host
-    /// wall-clock spent decoding changes. Returns the total heartbeat count.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame, or if called on a replica
-    /// that is not a backup.
-    pub fn feed_frames_bulk(
-        &mut self,
-        arrival: SimTime,
-        frames: Vec<Bytes>,
-        threads: usize,
-    ) -> Result<u32, VmError> {
-        let Replica { vm, coord, .. } = self;
-        let core = vm.core_mut();
-        core.acct.wait_until(Category::Communication, arrival);
-        match coord {
-            ReplicaCoord::LockBackup(c) => c.feed_frames(frames, threads),
-            ReplicaCoord::IntervalBackup(c) => c.feed_frames(frames, threads),
-            ReplicaCoord::TsBackup(c) => c.feed_frames(frames, threads, &mut core.acct),
-            _ => Err(VmError::Internal("feed_frames_bulk on a non-backup replica".into())),
-        }
-    }
-
     /// Promotes a streaming backup: the stream ended (the primary failed
     /// and detection fired, or it completed), volatile environment state
     /// is restored from the received side-effect snapshots, and replay may
@@ -244,26 +219,6 @@ impl Replica {
         self.vm.core_mut().env.fail();
     }
 
-    /// The primary's replication channel (None for backups).
-    fn channel_mut(&mut self) -> Option<&mut LogChannel> {
-        self.coord.primary_core_mut().map(|c| c.channel_mut())
-    }
-
-    /// Verified in-order frames delivered on this primary's channel by
-    /// `now` — the co-simulation drivers' receive step.
-    ///
-    /// # Errors
-    /// Returns a typed error (instead of panicking) when called on a
-    /// replica without a channel — a misconfigured pair.
-    pub(crate) fn recv_ready(&mut self, now: SimTime) -> Result<Vec<(SimTime, Bytes)>, VmError> {
-        match self.channel_mut() {
-            Some(ch) => Ok(ch.recv_ready(now)),
-            None => Err(VmError::Internal(
-                "co-simulated primary replica has no replication channel".into(),
-            )),
-        }
-    }
-
     /// Epoch marks a streaming backup has absorbed — its epoch
     /// acknowledgment (0 for primaries).
     pub(crate) fn epochs_absorbed(&self) -> u64 {
@@ -279,14 +234,6 @@ impl Replica {
     pub(crate) fn relay_epoch_ack(&mut self, acked: u64) {
         if let Some(core) = self.coord.primary_core_mut() {
             core.record_epoch_ack(acked);
-        }
-    }
-
-    /// Enters degraded mode (no live backup: output commits stop waiting
-    /// for acknowledgments). No-op on backups.
-    pub(crate) fn enter_degraded(&mut self) {
-        if let Some(core) = self.coord.primary_core_mut() {
-            core.enter_degraded();
         }
     }
 
@@ -353,25 +300,15 @@ impl Replica {
         Ok(true)
     }
 
-    /// Ships the latest epoch snapshot as chunk frames over the current
-    /// channel (re-integration state transfer and the cold durable
-    /// store). Returns the number of chunks sent.
+    /// Ships the latest epoch snapshot as chunk frames over fan-out link
+    /// `idx` only (re-integration recruits a single standby — its peers
+    /// must not see the chunks — and the cold durable store sits on link
+    /// 0). Returns the number of chunks sent.
     ///
     /// # Errors
     /// Returns an error when there is no snapshot to ship or the replica
     /// is not a primary.
-    pub(crate) fn ship_latest_snapshot(&mut self) -> Result<u64, VmError> {
-        self.ship_latest_snapshot_on(0)
-    }
-
-    /// [`ship_latest_snapshot`](Replica::ship_latest_snapshot) targeted at
-    /// one fan-out link (group re-integration recruits a single standby;
-    /// its peers must not see the chunks).
-    ///
-    /// # Errors
-    /// Returns an error when there is no snapshot to ship or the replica
-    /// is not a primary.
-    pub(crate) fn ship_latest_snapshot_on(&mut self, idx: usize) -> Result<u64, VmError> {
+    pub(crate) fn ship_latest_snapshot(&mut self, idx: usize) -> Result<u64, VmError> {
         /// Chunk payload size: small enough that loss retransmits stay
         /// cheap, large enough that a snapshot is a handful of frames.
         const CHUNK: usize = 4096;
@@ -393,18 +330,12 @@ impl Replica {
     }
 
     /// The primary half of re-integration: force-cut an epoch at the
-    /// current boundary, point the log at `fresh` (the link toward the
-    /// replacement), and ship the snapshot as chunk frames. Returns false
-    /// — leaving the channel untouched — when the VM is not at a cuttable
-    /// boundary yet (the driver retries next slice).
-    pub(crate) fn begin_state_transfer(&mut self, fresh: LogChannel) -> Result<bool, VmError> {
-        self.begin_state_transfer_on(0, fresh)
-    }
-
-    /// [`begin_state_transfer`](Replica::begin_state_transfer) targeted at
-    /// one fan-out link: re-recruits the standby at rank slot `idx` while
-    /// the other links keep streaming undisturbed.
-    pub(crate) fn begin_state_transfer_on(
+    /// current boundary, point fan-out link `idx` at `fresh` (the link
+    /// toward the replacement at that rank slot), and ship the snapshot as
+    /// chunk frames while the other links keep streaming undisturbed.
+    /// Returns false — leaving the link untouched — when the VM is not at
+    /// a cuttable boundary yet (the driver retries next slice).
+    pub(crate) fn begin_state_transfer(
         &mut self,
         idx: usize,
         fresh: LogChannel,
@@ -417,7 +348,7 @@ impl Replica {
             // still in flight on it are lost with that host.
             drop(core.swap_link(idx, fresh));
         }
-        self.ship_latest_snapshot_on(idx)?;
+        self.ship_latest_snapshot(idx)?;
         Ok(true)
     }
 
@@ -492,11 +423,13 @@ impl Replica {
         self.coord.primary_core_mut()
     }
 
-    /// Verified in-order frames delivered on fan-out link `idx` by `now`.
+    /// Verified in-order frames delivered on fan-out link `idx` by `now` —
+    /// the co-simulation drivers' receive step.
     ///
     /// # Errors
-    /// Returns a typed error when called on a replica without a channel.
-    pub(crate) fn recv_ready_link(
+    /// Returns a typed error (instead of panicking) when called on a
+    /// replica without a channel — a misconfigured driver.
+    pub(crate) fn recv_ready(
         &mut self,
         idx: usize,
         now: SimTime,
@@ -597,9 +530,9 @@ impl Replica {
 ///
 /// Owns the program, natives, and configuration; each run builds fresh
 /// replicas over a fresh [`ftjvm_vm::World`]. [`FtJvm`](crate::FtJvm)'s
-/// `run_*` drivers are thin wrappers around this type, which is itself a
-/// thin wrapper around [`PairTask`] — the pair as a resumable value that
-/// a fleet scheduler can multiplex. Cloning is cheap (the program is
+/// `run_*` entry points build a [`PairTask`] or a
+/// [`GroupTask`](crate::group::GroupTask) from a clone of this type and
+/// step it to completion. Cloning is cheap (the program is
 /// behind an [`Arc`]); a clone that shares a [`SharedLink`] contends for
 /// the same trunk bandwidth.
 #[derive(Clone)]
@@ -721,25 +654,12 @@ impl ReplicaRuntime {
         Ok(Replica { role: Role::Primary, vm, coord })
     }
 
-    /// Builds a hot (streaming) backup replica whose log starts empty.
+    /// Builds a hot (streaming) backup replica whose log starts empty: the
+    /// standby at `rank` of a replica group (rank 0 is the pair's backup).
     ///
     /// # Errors
     /// Propagates program-loading errors.
-    pub fn build_hot_backup(&self, world: &SharedWorld) -> Result<Replica, VmError> {
-        self.build_hot_backup_ranked(world, 0)
-    }
-
-    /// [`build_hot_backup`](ReplicaRuntime::build_hot_backup) for the
-    /// standby at `rank` of a replica group (rank 0 is the pair's backup,
-    /// bit-for-bit).
-    ///
-    /// # Errors
-    /// Propagates program-loading errors.
-    pub fn build_hot_backup_ranked(
-        &self,
-        world: &SharedWorld,
-        rank: u32,
-    ) -> Result<Replica, VmError> {
+    pub fn build_hot_backup(&self, world: &SharedWorld, rank: u32) -> Result<Replica, VmError> {
         let se = (self.cfg.se_factory)();
         let vm = Vm::new(
             self.program.clone(),
@@ -774,7 +694,7 @@ impl ReplicaRuntime {
         frames: Vec<Bytes>,
     ) -> Result<Replica, VmError> {
         let mut se = (self.cfg.se_factory)();
-        let log = BackupLog::decode_parallel(frames, &mut se, self.cfg.replay_threads)?;
+        let log = BackupLog::decode(frames, &mut se)?;
         let mut benv = self.backup_env(world);
         // SE-handler `restore`: re-create the primary's volatile
         // environment state (open files at their recovered offsets).
@@ -805,26 +725,13 @@ impl ReplicaRuntime {
     /// sections seed a *resumed* streaming coordinator (decoder context,
     /// consumed-sequence maps, output-id floor, latest side-effect
     /// payloads), and the replica continues from the cut as if it had
-    /// consumed the whole truncated prefix.
+    /// consumed the whole truncated prefix. `rank` is its rank in the
+    /// replica group, as for [`build_hot_backup`](Self::build_hot_backup).
     ///
     /// # Errors
     /// Returns an error for a corrupt blob or malformed extension
     /// sections.
     pub fn build_resumed_backup(
-        &self,
-        world: &SharedWorld,
-        blob: &[u8],
-    ) -> Result<Replica, VmError> {
-        self.build_resumed_backup_ranked(world, blob, 0)
-    }
-
-    /// [`build_resumed_backup`](ReplicaRuntime::build_resumed_backup) for
-    /// the standby at `rank` of a replica group.
-    ///
-    /// # Errors
-    /// Returns an error for a corrupt blob or malformed extension
-    /// sections.
-    pub fn build_resumed_backup_ranked(
         &self,
         world: &SharedWorld,
         blob: &[u8],
@@ -944,51 +851,23 @@ impl ReplicaRuntime {
         Ok((report, backup.backup_stats(), backup.recovery_completed_at()))
     }
 
-    /// Runs the pair with a **cold** backup. The primary runs to
-    /// completion or crash; on a crash the drained log is replayed from
-    /// the initial state. Bit-for-bit the pre-runtime semantics: record
-    /// counts, byte stats, and console output are unchanged.
+    /// Runs a hot pair — a replica group with one standby — under epoch
+    /// checkpointing, with optional backup-kill and re-integration per
+    /// `plan`.
     ///
-    /// # Errors
-    /// Propagates fatal VM errors from either replica.
-    pub fn run_cold(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        PairTask::cold(self.clone(), fault)?.run_to_completion()?.into_pair_report()
-    }
-
-    /// Runs the pair with a **hot** standby: primary and backup
-    /// co-simulated on one timeline. On a crash, detection fires from
-    /// missed heartbeats, the backup is promoted mid-run, and only the
-    /// unconsumed log suffix is replayed — so
-    /// [`PairReport::failover_latency`] is measured, not derived.
-    ///
-    /// # Errors
-    /// Propagates fatal VM errors from either replica.
-    pub fn run_hot(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        PairTask::hot(self.clone(), fault)?.run_to_completion()?.into_pair_report()
-    }
-
-    /// Runs a hot pair under epoch checkpointing, with optional
-    /// backup-kill and re-integration per `plan`.
-    ///
-    /// The co-simulation loop is [`run_hot`](ReplicaRuntime::run_hot)'s,
-    /// plus the epoch protocol: the primary cuts a checkpoint every
-    /// `checkpoint_interval` flushes at a quiescent boundary, the driver
-    /// relays the backup's absorbed-epoch count back as the ack, and the
-    /// retained replay suffix truncates at each cut. When the plan kills
-    /// the backup, the primary's reverse-heartbeat detector fires after
-    /// the configured deadline and the primary enters *degraded mode*
-    /// (output commits stop waiting for acknowledgments, the gap is
+    /// The primary cuts a checkpoint every `checkpoint_interval` flushes at
+    /// a quiescent boundary, the driver relays the backup's absorbed-epoch
+    /// count back as the ack, and the retained replay suffix truncates at
+    /// each cut. When the plan kills the backup, the primary's
+    /// reverse-heartbeat detector fires after the configured deadline and
+    /// the primary enters *degraded mode* (it stops sending to the dead
+    /// host, output commits stop waiting for acknowledgments, the gap is
     /// counted in [`ReplicationStats::degraded_outputs`]). With
     /// `reintegrate`, the primary then recruits a replacement standby by
     /// force-cutting a fresh epoch and shipping the snapshot as chunk
     /// frames over a fresh channel (lossy + reliability sublayer when the
     /// net-fault plan is armed), after which the pair is 1-fault tolerant
     /// again — a subsequent primary crash fails over to the replacement.
-    ///
-    /// Modeling note: between the kill and the detector firing, output
-    /// commits still wait on the (phantom) transport acknowledgments of
-    /// the dead backup's channel — a timing artifact only; exactly-once
-    /// output is unaffected.
     ///
     /// # Errors
     /// Returns an error when `checkpoint_interval` is unset, and
@@ -997,38 +876,31 @@ impl ReplicaRuntime {
         PairTask::checkpointed(self.clone(), plan)?.run_to_completion()?.into_checkpoint_report()
     }
 
-    /// Runs the pair with a **cold** backup under epoch checkpointing:
-    /// the backup durably stores the stream in an
-    /// [`EpochStore`](crate::backup::EpochStore) (the
-    /// primary ships snapshot chunks at every cut, since the durable
-    /// store needs the snapshot itself before it may truncate) and drops
-    /// the stored prefix at each epoch mark, bounding stored memory to
-    /// one epoch. On a primary crash, recovery restores the latest
-    /// snapshot and replays only the stored suffix instead of the whole
-    /// log.
-    ///
-    /// # Errors
-    /// Returns an error when `checkpoint_interval` is unset, and
-    /// propagates fatal VM errors.
-    pub fn run_cold_checkpointed(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        PairTask::cold_checkpointed(self.clone(), fault)?.run_to_completion()?.into_pair_report()
-    }
-
     /// Runs the pair per the configured [`LagBudget`] and
-    /// [`FtConfig::checkpoint_interval`] (unset: the seed-identical
-    /// non-checkpointed paths).
+    /// [`FtConfig::checkpoint_interval`]:
+    ///
+    /// * **cold** — the primary runs to completion or crash; on a crash
+    ///   the drained log is replayed from the initial state (record
+    ///   counts, byte stats, and console output are the paper baseline's);
+    /// * **cold, checkpointed** — the backup durably stores the stream in
+    ///   an [`EpochStore`](crate::backup::EpochStore) (the primary ships
+    ///   snapshot chunks at every cut, since the durable store needs the
+    ///   snapshot itself before it may truncate) and drops the stored
+    ///   prefix at each epoch mark; recovery restores the latest snapshot
+    ///   and replays only the stored suffix;
+    /// * **hot** — primary and standby co-simulated on one timeline as a
+    ///   replica group of two ([`crate::group::GroupTask`]): on a crash,
+    ///   detection fires from missed heartbeats, the standby takes over
+    ///   mid-run, and only the unconsumed log suffix is replayed — so
+    ///   [`PairReport::failover_latency`] is measured, not derived. With a
+    ///   checkpoint interval the epoch protocol of
+    ///   [`run_checkpointed`](ReplicaRuntime::run_checkpointed) runs too.
     ///
     /// # Errors
     /// Propagates fatal VM errors from either replica.
     pub fn run_pair(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        match (self.cfg.lag_budget, self.cfg.checkpoint_interval) {
-            (LagBudget::Cold, None) => self.run_cold(fault),
-            (LagBudget::Cold, Some(_)) => self.run_cold_checkpointed(fault),
-            (LagBudget::Hot, None) => self.run_hot(fault),
-            (LagBudget::Hot, Some(_)) => self
-                .run_checkpointed(CheckpointPlan { fault, ..CheckpointPlan::default() })
-                .map(|r| r.pair),
-        }
+        let plan = CheckpointPlan { fault, ..CheckpointPlan::default() };
+        PairTask::from_config(self.clone(), plan)?.run_to_completion()?.into_pair_report()
     }
 }
 

@@ -51,15 +51,12 @@ fn usage() -> ! {
                                  standby from the latest snapshot plus the live\n\
                                  suffix (requires --checkpoint-interval)\n\
            --group-size <k>      replicate across a k-replica group with\n\
-                                 rank-ordered promotion instead of a single\n\
-                                 backup (requires --checkpoint-interval; crash\n\
-                                 flags become the group's first primary kill)\n\
+                                 rank-ordered promotion (2 is the hot pair;\n\
+                                 requires --checkpoint-interval; crash flags\n\
+                                 become the group's first primary kill)\n\
            --vote-quorum <q>     BFT-lite: release outputs only once q digest\n\
                                  votes match (requires --group-size)\n\
            --seed <n>            primary scheduler seed (default 11)\n\
-           --threads <n|max>     worker threads for the promotion path's\n\
-                                 suffix decode (results are byte-identical\n\
-                                 for every value; default 1)\n\
            --net-fault <spec>    arm the lossy link; spec is comma-separated\n\
                                  k=v pairs: drop/dup/corrupt/reorder (probabilities),\n\
                                  jitter=<micros>, drop-at/dup-at/corrupt-at=<i;j;..>\n\
@@ -235,7 +232,8 @@ fn group_main(
         size,
         vote_quorum,
         kills,
-        kill_standby_after_units: kill_standby.map(|units| (1, units)),
+        // The lowest-priority standby: the only one of a group of two.
+        kill_standby_after_units: kill_standby.map(|units| (size.saturating_sub(2), units)),
         // Groups re-recruit by default; `--reintegrate` is implied.
         reintegrate: reintegrate || GroupConfig::default().reintegrate,
         ..GroupConfig::default()
@@ -428,10 +426,6 @@ fn main() {
                 i += 1;
                 cfg.primary_seed =
                     args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                cfg.replay_threads = parse_threads(args.get(i));
             }
             "--net-fault" => {
                 i += 1;

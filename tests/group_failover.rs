@@ -20,8 +20,9 @@ fn mixed_plan(seed: u64, drop: f64) -> NetFaultPlan {
     }
 }
 
-/// Group runs need checkpointing (state transfer grounds every join) and
-/// a detector fast enough for micro-workload timescales.
+/// Groups whose members may join need checkpointing (state transfer
+/// grounds every join) and a detector fast enough for micro-workload
+/// timescales.
 fn group_cfg(mode: ReplicationMode) -> FtConfig {
     FtConfig {
         mode,
@@ -247,10 +248,98 @@ fn group_config_validation() {
     assert!(h.run_group(GroupConfig { size: 1, ..GroupConfig::default() }).is_err());
     assert!(h.run_group(GroupConfig { vote_quorum: Some(1), ..GroupConfig::default() }).is_err());
     assert!(h.run_group(GroupConfig { vote_quorum: Some(9), ..GroupConfig::default() }).is_err());
-    // No checkpoint interval → state transfer is impossible → refused.
+    // A standby kill must name a rank slot that exists (0..size-1).
+    let kill = |size, slot| GroupConfig {
+        size,
+        kill_standby_after_units: Some((slot, 256)),
+        ..GroupConfig::default()
+    };
+    assert!(h.run_group(kill(3, 2)).is_err(), "slot 2 of a group of 3");
+    assert!(h.run_group(kill(2, 1)).is_err(), "slot 1 of a group of 2");
+    assert!(h.run_group(kill(3, 1)).is_ok());
+    assert!(h.run_group(kill(2, 0)).is_ok(), "a pair is a group of two");
+    // No checkpoint interval → state transfer is impossible → refused,
+    // unless no join could ever need one: a group of two that never
+    // re-integrates is the plain hot pair.
     let no_ckpt = FtJvm::new(
         w.program.clone(),
         FtConfig { mode: ReplicationMode::LockSync, ..FtConfig::default() },
     );
     assert!(no_ckpt.run_group(GroupConfig::default()).is_err());
+    assert!(no_ckpt.run_group(GroupConfig { size: 2, ..GroupConfig::default() }).is_err());
+    let plain = GroupConfig { size: 2, reintegrate: false, ..GroupConfig::default() };
+    assert!(no_ckpt.run_group(GroupConfig { size: 3, ..plain.clone() }).is_err());
+    let report = no_ckpt.run_group(plain).expect("size 2 without re-integration");
+    assert!(report.completed && report.failovers.is_empty());
+}
+
+// --- seed sweep: chains that lose a write or the whole group ----------------
+
+/// One 5-replica, 20%-loss, three-kill chain on `file_journal(300)` per
+/// `(seed, mode, chain)` — the setting in which about one chain in twenty
+/// ends one journal entry short or with no live replica. Seeds derive as
+/// the benchmark's `lossy_group` workload derives them, so the seed
+/// numbers are the ones it reported.
+fn chain_fails(seed: u64, case: u32, mode: ReplicationMode, chain: u32) -> Option<String> {
+    use ftjvm::replication::split_seed;
+    let w = micro::file_journal(300);
+    let mut cfg = FtConfig {
+        primary_seed: split_seed(seed, case, 0),
+        backup_seed: split_seed(seed, case, 1),
+        primary_env_seed: split_seed(seed, case, 2),
+        backup_env_seed: split_seed(seed, case, 3),
+        ..group_cfg(mode)
+    };
+    cfg.vm.quantum = 40_000;
+    cfg.vm.quantum_jitter = 20_000;
+    cfg.vm.entry_arg = 1;
+    let free = FtJvm::new(w.program.clone(), cfg.clone()).run_unreplicated().expect("reference");
+    let want = free.1.borrow().console_texts();
+    let commits = FtJvm::new(w.program.clone(), cfg.clone())
+        .run_replicated()
+        .expect("probe")
+        .primary_stats
+        .output_commits;
+    let net_seed = split_seed(split_seed(seed, case, 4), chain, 0);
+    let cfg = FtConfig { net_fault: mixed_plan(net_seed, 0.20), ..cfg };
+    let kills = vec![
+        FaultPlan::BeforeOutput(commits / 5),
+        FaultPlan::BeforeOutput(commits / 2),
+        FaultPlan::BeforeOutput(commits * 4 / 5),
+    ];
+    let gcfg = GroupConfig { size: 5, kills, ..GroupConfig::default() };
+    match FtJvm::new(w.program, cfg).run_group(gcfg) {
+        Err(e) => Some(format!("error: {e}")),
+        Ok(r) if !r.completed => Some("group lost".into()),
+        Ok(r) if r.check_no_duplicate_outputs().is_err() => Some("duplicate output".into()),
+        Ok(r) if r.console() != want => Some(format!("console {:?} != {want:?}", r.console())),
+        Ok(_) => None,
+    }
+}
+
+/// `cargo test --release --test group_failover group_chain_seed_sweep --
+/// --ignored --nocapture` prints the failing seed set of seeds 1–40
+/// (two modes × four chains each). CHANGES.md records the set per PR; it
+/// must not grow.
+#[test]
+#[ignore = "sweep that prints the failing seed set; the set is recorded in CHANGES.md"]
+fn group_chain_seed_sweep() {
+    let mut failing = Vec::new();
+    for seed in 1..=40u64 {
+        let mut notes = Vec::new();
+        for (case, mode) in
+            [ReplicationMode::LockSync, ReplicationMode::ThreadSched].into_iter().enumerate()
+        {
+            for chain in 0..4 {
+                if let Some(why) = chain_fails(seed, case as u32, mode, chain) {
+                    notes.push(format!("{mode} chain {chain}: {why}"));
+                }
+            }
+        }
+        if !notes.is_empty() {
+            println!("seed {seed}: {}", notes.join("; "));
+            failing.push(seed);
+        }
+    }
+    println!("failing seeds of 1-40: {failing:?}");
 }

@@ -1,7 +1,7 @@
-//! Equivalence suite for the pair-as-value refactor: the legacy
-//! single-pair entry points (`run_cold` / `run_hot` and the checkpointed
-//! variants, now thin wrappers over the resumable `PairTask` state
-//! machine) must stay **byte-identical** to the pre-refactor drivers.
+//! Equivalence suite for the single-pair entry points: cold pairs (driven
+//! by `PairTask`) and hot pairs (a `GroupTask` of size 2 behind the same
+//! entry points) must stay **byte-identical** to the original monolithic
+//! loop drivers.
 //!
 //! The digests below were captured from the monolithic loop drivers
 //! immediately before the refactor (PR 6 behavior): a CRC over the
@@ -921,5 +921,9 @@ fn reintegration_case_pinned() {
     assert_eq!(reintegration_digest(), REINTEGRATION_PINNED, "checkpointed driver diverged");
 }
 
+// The re-integration instant was 17216009 while a degraded primary kept
+// paying send cost toward the dead backup's link; it now marks the link
+// dead at detection (as the group driver always did), stops sending, and
+// so reaches the cuttable boundary and ships the snapshot sooner.
 const REINTEGRATION_PINNED: (u32, u64, u64, u64, u64, u64) =
-    (0x105b2e99, 1, 11073168, 13073168, 17216009, 1390846);
+    (0x105b2e99, 1, 11073168, 13073168, 17153639, 1390846);

@@ -1,13 +1,11 @@
-//! Determinism of the parallel execution paths: a fleet scheduled across
-//! N worker threads, a group fleet, and a promotion whose suffix decode
-//! fans out across replay workers must all produce **byte-identical**
-//! results for every thread count — parallelism may only change host
-//! wall-clock time, never a simulated timestamp, counter, or output.
+//! Determinism of the parallel execution path: a fleet — of pairs or of
+//! larger groups — scheduled across N worker threads must produce
+//! **byte-identical** results for every thread count — parallelism may
+//! only change host wall-clock time, never a simulated timestamp,
+//! counter, or output.
 
-use ftjvm::netsim::{FaultPlan, SimTime, WireCodec};
+use ftjvm::netsim::SimTime;
 use ftjvm::replication::fleet::{run_fleet, FleetConfig, FleetReport, RouterMode};
-use ftjvm::workloads::{self, Workload};
-use ftjvm::{FtConfig, FtJvm, LagBudget, ReplicationMode};
 use proptest::prelude::*;
 
 /// Everything observable about a fleet run except the pool stats (which
@@ -96,61 +94,6 @@ fn fleet_without_shared_trunk_is_thread_count_invariant() {
     let reference = run_digest(&base, 1);
     for threads in [3, 8] {
         assert_eq!(run_digest(&base, threads), reference, "threads={threads}");
-    }
-}
-
-/// Snapshot-based promotion with the suffix decode fanned out across
-/// replay workers: report, console, stats, and failover latencies all
-/// equal the sequential decode, and both equal the failure-free console.
-#[test]
-fn promotion_is_replay_thread_invariant() {
-    let cases: [(Workload, ReplicationMode); 3] = [
-        (workloads::micro::sync_counter(2, 120), ReplicationMode::ThreadSched),
-        (workloads::micro::file_journal(40), ReplicationMode::LockSync),
-        (workloads::micro::nd_natives(60), ReplicationMode::LockSync),
-    ];
-    for (w, mode) in cases {
-        for codec in [WireCodec::Fixed, WireCodec::Compact] {
-            let base = FtConfig { mode, codec, ..FtConfig::default() };
-            let free = FtJvm::new(w.program.clone(), base.clone())
-                .run_replicated()
-                .expect("failure-free run");
-            let crashed = |replay_threads: usize| {
-                let cfg = FtConfig {
-                    lag_budget: LagBudget::Cold,
-                    checkpoint_interval: Some(2),
-                    fault: FaultPlan::AfterInstructions(
-                        (free.primary.counters.instructions * 3 / 5).max(1),
-                    ),
-                    replay_threads,
-                    ..base.clone()
-                };
-                FtJvm::new(w.program.clone(), cfg).run_with_failure().expect("crashed run")
-            };
-            let seq = crashed(1);
-            assert!(seq.crashed, "{} {codec}: fault must fire", w.name);
-            for threads in [2, 8] {
-                let par = crashed(threads);
-                assert_eq!(par.console(), seq.console(), "{} {codec}", w.name);
-                assert_eq!(par.console(), free.console(), "{} {codec}", w.name);
-                assert_eq!(
-                    par.failover_latency, seq.failover_latency,
-                    "{} {codec} threads={threads}",
-                    w.name
-                );
-                assert_eq!(
-                    par.recovery_replay_time, seq.recovery_replay_time,
-                    "{} {codec} threads={threads}",
-                    w.name
-                );
-                assert_eq!(
-                    format!("{:?}", par.backup_stats),
-                    format!("{:?}", seq.backup_stats),
-                    "{} {codec} threads={threads}",
-                    w.name
-                );
-            }
-        }
     }
 }
 
