@@ -170,11 +170,13 @@ fn render_text(rows: &[Row]) -> String {
         ));
         if let Some(s) = &rep.shared {
             out.push_str(&format!(
-                "  trunk: {} frames, {} bytes, busy {} ({:.0}% util), queue peak {}\n",
+                "  trunk: {} frames, {} bytes, busy {} ({:.0}% util), oversubscribed {}, \
+                 queue peak {}\n",
                 s.frames,
                 s.bytes,
                 s.busy,
                 100.0 * s.busy.as_nanos() as f64 / rep.makespan.as_nanos().max(1) as f64,
+                s.oversubscribed,
                 s.queue_peak
             ));
         }
@@ -217,6 +219,10 @@ fn render_json(rows: &[Row]) -> String {
         out.push_str(&format!("      \"failovers_per_sec\": {:.2},\n", rep.failovers_per_sec));
         if let Some(s) = &rep.shared {
             out.push_str(&format!("      \"trunk_busy_ns\": {},\n", s.busy.as_nanos()));
+            out.push_str(&format!(
+                "      \"trunk_oversubscribed_ns\": {},\n",
+                s.oversubscribed.as_nanos()
+            ));
             out.push_str(&format!("      \"trunk_queue_peak_ns\": {},\n", s.queue_peak.as_nanos()));
         }
         let serial = r.wall_ms_by_threads.first().map_or(0.0, |(_, ms)| *ms);

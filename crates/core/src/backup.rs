@@ -289,6 +289,20 @@ pub struct ResumeSeed {
     pub live_output_base: u64,
 }
 
+/// What a backup coordinator that finished its replay hands the primary
+/// coordinator replacing it.
+pub(crate) struct PromotionParts {
+    /// The restored side-effect registry.
+    pub(crate) se: SeRegistry,
+    /// The first output id the new reign may assign (exactly-once across
+    /// the takeover).
+    pub(crate) next_output: u64,
+    /// Commit samples of the outputs the backup performed live, past the
+    /// log's end, before it turned primary: they are the new reign's
+    /// first commits.
+    pub(crate) commit_samples: Vec<(u64, u64)>,
+}
+
 /// Shared backup-side native replay (ND results, outputs, exactly-once).
 ///
 /// Owns the [`BackupLog`] the coordinators consume from. In *cold* replay
@@ -533,19 +547,21 @@ impl NativeReplay {
     }
 
     /// Consumes a *finished* replay, yielding what a promotion to primary
-    /// seeds from it: the restored side-effect registry and the first
-    /// output id the new reign may assign (exactly-once across the
-    /// takeover).
+    /// seeds from it.
     ///
     /// # Errors
     /// Typed [`ReplayError::PromotionIncomplete`] if replay records are
     /// still unconsumed — promoting now would fork the replicated history.
-    fn into_promotion_parts(self) -> Result<(SeRegistry, u64), ReplayError> {
+    fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
         let pending = self.pending_records();
         if !self.eof || pending > 0 {
             return Err(ReplayError::PromotionIncomplete { pending });
         }
-        Ok((self.se, self.next_live_output))
+        Ok(PromotionParts {
+            se: self.se,
+            next_output: self.next_live_output,
+            commit_samples: self.stats.commit_samples,
+        })
     }
 
     /// True once thread `vt` has no logged natives or outputs left.
@@ -787,7 +803,7 @@ impl LockSyncBackup {
 
     /// Consumes the coordinator for promotion to primary (see
     /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<(SeRegistry, u64), ReplayError> {
+    pub(crate) fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
         self.replay.into_promotion_parts()
     }
 }
@@ -1209,7 +1225,7 @@ impl TsBackup {
 
     /// Consumes the coordinator for promotion to primary (see
     /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<(SeRegistry, u64), ReplayError> {
+    pub(crate) fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
         self.replay.into_promotion_parts()
     }
 
@@ -1615,7 +1631,7 @@ impl IntervalBackup {
 
     /// Consumes the coordinator for promotion to primary (see
     /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<(SeRegistry, u64), ReplayError> {
+    pub(crate) fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
         self.replay.into_promotion_parts()
     }
 }

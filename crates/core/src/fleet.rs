@@ -779,12 +779,17 @@ mod tests {
         let report = run_fleet(&cfg).expect("group fleet runs");
         assert_eq!(report.completed, 4);
         assert_eq!(report.divergent, 0, "every surviving group byte-identical");
-        assert!(report.served_requests > 0);
         let crashed: Vec<_> = report.outcomes.iter().filter(|o| o.crashed).collect();
+        assert!(!crashed.is_empty(), "a standby was promoted in place (else this is vacuous)");
         assert!(
             crashed.iter().all(|o| !o.timeline.is_empty()),
             "group failovers must carry a timeline"
         );
+        // Outputs a standby performed live before it turned primary are
+        // served requests too.
+        for o in report.outcomes.iter().filter(|o| o.survived) {
+            assert_eq!(o.served, o.requests, "slot {} serves every request", o.pair_id);
+        }
     }
 
     #[test]

@@ -30,11 +30,10 @@
 //! slot's error result: a worker must never unwind across the barrier,
 //! or every other worker would deadlock waiting for it.
 
-use ftjvm_netsim::{SharedBandwidth, SharedLink, SharedStats, SimTime, TrunkWindow};
+use ftjvm_netsim::{Calendar, SharedBandwidth, SharedLink, SharedStats, SimTime, TrunkWindow};
 use ftjvm_vm::VmError;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
 /// A simulation slot the windowed scheduler can advance: a local clock,
 /// a completion test, and a bounded step.
@@ -70,7 +69,7 @@ pub struct PoolStats {
     pub threads: usize,
     /// Logical-time windows merged.
     pub windows: u64,
-    /// Barrier crossings per worker (two per window).
+    /// Barrier crossings, the same for every worker (two per window).
     pub barrier_waits: u64,
     /// Trunk busy intervals merged into the master calendar.
     pub merged_intervals: u64,
@@ -83,8 +82,9 @@ pub struct PoolStats {
 struct MergeState {
     /// The master trunk: merged calendar plus fleet-wide statistics.
     master: Option<SharedBandwidth>,
-    /// Frozen calendar every port re-grounds on at the window start.
-    snapshot: Arc<BTreeMap<u64, u64>>,
+    /// Frozen calendar every port re-grounds on at the window start: a
+    /// shared reference to the master's runs, not a copy.
+    snapshot: Calendar,
     /// Global end instant of the window being executed.
     window_end: SimTime,
     /// All slots finished; workers exit at the next phase boundary.
@@ -155,7 +155,7 @@ where
     }
     let state = Mutex::new(MergeState {
         master: opts.trunk_per_byte.map(SharedBandwidth::new),
-        snapshot: Arc::new(BTreeMap::new()),
+        snapshot: Calendar::default(),
         window_end: SimTime::ZERO,
         done: n == 0,
         active: n,
@@ -249,7 +249,7 @@ where
                         // move a future placement: every upcoming
                         // admission is at or past the window start.
                         master.prune_before(SimTime::from_nanos(k * quantum));
-                        st.snapshot = Arc::new(master.calendar().clone());
+                        st.snapshot = master.calendar().clone();
                     }
                 }
                 st.min_next = None;
@@ -284,38 +284,25 @@ where
                     catch_unwind(AssertUnwindSafe(|| task.step(until))).unwrap_or_else(|p| {
                         Err(VmError::Internal(format!("slot panic: {}", panic_message(&*p))))
                     });
-                match stepped {
-                    Ok(()) => {
-                        if let Some(port) = &cell.port {
-                            let w = port.borrow_mut().take_window();
-                            if !w.is_empty() {
-                                local_windows.push((cell.id, w));
-                            }
-                        }
-                        if task.is_done() {
-                            let task = cell.task.take().expect("task present");
-                            finalize(cell.id, Ok(task));
-                            finished += 1;
-                        } else {
-                            let g = cell.offset + cell.task.as_ref().expect("task present").now();
-                            min = Some(min.map_or(g, |m| m.min(g)));
-                        }
-                    }
-                    Err(e) => {
-                        // The slot failed (or panicked) mid-window; any
-                        // traffic it placed before failing still merges —
-                        // it was on the wire.
-                        if let Some(port) = &cell.port {
-                            let w = port.borrow_mut().take_window();
-                            if !w.is_empty() {
-                                local_windows.push((cell.id, w));
-                            }
-                        }
-                        cell.task = None;
-                        finalize(cell.id, Err(e));
-                        finished += 1;
+                // Whatever the slot placed was on the wire and merges,
+                // even if the slot then failed (or panicked) mid-window.
+                if let Some(port) = &cell.port {
+                    let w = port.borrow_mut().take_window();
+                    if !w.is_empty() {
+                        local_windows.push((cell.id, w));
                     }
                 }
+                if stepped.is_ok() && !task.is_done() {
+                    let g = cell.offset + task.now();
+                    min = Some(min.map_or(g, |m| m.min(g)));
+                    continue;
+                }
+                // Finished or failed: the port goes with the task, and with
+                // it the slot's reference to a past calendar snapshot.
+                let task = cell.task.take().expect("task present");
+                cell.port = None;
+                finalize(cell.id, stepped.map(|()| task));
+                finished += 1;
             }
             let mut st = state.lock().expect("pool state lock");
             st.windows.append(&mut local_windows);

@@ -928,11 +928,13 @@ impl PrimaryCore {
         self.heartbeat_interval = interval;
     }
 
-    /// Seeds the output-id allocator: a backup promoting to primary
+    /// Seeds the output history of a backup promoting to primary: it
     /// continues the dead reign's exactly-once numbering instead of
-    /// restarting at zero.
-    pub fn seed_output_ids(&mut self, next: u64) {
+    /// restarting at zero, and the outputs it already performed live, past
+    /// the log's end, are this reign's first commit samples.
+    pub fn seed_outputs(&mut self, next: u64, live_commits: Vec<(u64, u64)>) {
         self.next_output_id = next;
+        self.stats.commit_samples = live_commits;
     }
 
     /// Progress tick for `n` executed units: drives the instruction-count

@@ -481,28 +481,20 @@ impl Replica {
             Ts,
         }
         let Replica { vm, coord, .. } = self;
-        let (se, next_output, kind) = match coord {
-            ReplicaCoord::LockBackup(c) => {
-                let (se, next) = c.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
-                (se, next, Kind::Lock)
-            }
-            ReplicaCoord::IntervalBackup(c) => {
-                let (se, next) = c.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
-                (se, next, Kind::Interval)
-            }
-            ReplicaCoord::TsBackup(c) => {
-                let (se, next) = c.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
-                (se, next, Kind::Ts)
-            }
+        let (parts, kind) = match coord {
+            ReplicaCoord::LockBackup(c) => (c.into_promotion_parts(), Kind::Lock),
+            ReplicaCoord::IntervalBackup(c) => (c.into_promotion_parts(), Kind::Interval),
+            ReplicaCoord::TsBackup(c) => (c.into_promotion_parts(), Kind::Ts),
             _ => return Err(VmError::Internal("promote on a primary replica".into())),
         };
+        let parts = parts.map_err(|e| e.at(ThreadIdx(0)))?;
         let mut core =
-            PrimaryCore::with_transport(rt.make_channel(), rt.cfg.vm.cost.clone(), fault, se);
+            PrimaryCore::with_transport(rt.make_channel(), rt.cfg.vm.cost.clone(), fault, parts.se);
         core.flush_threshold = rt.cfg.flush_threshold;
         core.set_codec(rt.cfg.codec);
         core.set_heartbeat_interval(rt.cfg.detector.interval());
         core.set_checkpoint_interval(rt.cfg.checkpoint_interval);
-        core.seed_output_ids(next_output);
+        core.seed_outputs(parts.next_output, parts.commit_samples);
         core.enable_fanout((0..extra_links).map(|_| rt.make_channel()).collect());
         // No standby is live until the driver re-recruits it: mark every
         // link dead and start degraded (uncovered outputs are counted).

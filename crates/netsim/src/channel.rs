@@ -115,10 +115,11 @@ impl SimChannel {
         &self.params
     }
 
-    /// Attaches a shared-trunk capacity: every subsequent send also passes
-    /// through `link`'s FIFO serializer at global instant `offset + local
-    /// send instant`, adding the trunk's queue and serialization delay to
-    /// the frame's arrival.
+    /// Attaches a shared-trunk capacity: every subsequent send is also
+    /// admitted to `link` at global instant `offset + local send instant`
+    /// — into the first idle gap of the trunk's calendar that fits it, not
+    /// behind everything admitted before — adding the trunk's queue and
+    /// serialization delay to the frame's arrival.
     pub fn attach_shared(&mut self, link: crate::SharedLink, offset: SimTime) {
         self.shared = Some((link, offset));
     }

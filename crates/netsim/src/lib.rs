@@ -41,5 +41,5 @@ pub use clock::{SimClock, SimTime};
 pub use cost::{Category, CostModel, TimeAccount};
 pub use fault::{FailureDetector, FaultPlan, HeartbeatMonitor};
 pub use lossy::{FaultDecision, LossyChannel, NetFaultPlan};
-pub use shared::{SharedBandwidth, SharedLink, SharedStats, TrunkWindow};
+pub use shared::{Calendar, SharedBandwidth, SharedLink, SharedStats, TrunkWindow};
 pub use wire::{crc32c, WireCodec, WireError, WireReader, WireWriter};

@@ -5,28 +5,47 @@
 //! core switches: when hundreds of primaries flush at once, frames queue
 //! behind each other on the shared trunk. [`SharedBandwidth`] models that
 //! trunk as one serializer on the fleet's global timeline, kept as a
-//! calendar of busy intervals: a frame admitted at global instant `t`
+//! [`Calendar`] of busy runs: a frame admitted at global instant `t`
 //! transmits in the first idle gap at or after `t` and occupies the trunk
 //! for `bytes × per_byte`; the admission delay (queue wait +
 //! serialization) is added on top of the channel's own local-link costs.
 //!
 //! The calendar — rather than a scalar next-free pointer — makes the
-//! model *admission-order independent*: pairs multiplexed by a scheduler
-//! admit frames slightly out of global-time order (one pair's step can
+//! model *admission-order independent*: slots multiplexed by a scheduler
+//! admit frames slightly out of global-time order (one slot's step can
 //! jump past another's), and a frame sent at an early instant must not
-//! queue behind a reservation made for the far future. With the
-//! calendar, the delay a frame sees depends only on the set of other
-//! frames' (instant, size) pairs, not on the order the scheduler
-//! happened to discover them in.
+//! queue behind a reservation made for the far future. The delay a frame
+//! sees depends only on the set of other frames' (instant, size) pairs,
+//! not on the order the scheduler happened to discover them in.
+//!
+//! One `SharedBandwidth` serves two uses, with one placement rule:
+//!
+//! * **Coupled trunk.** Every admission is placed against, and inserted
+//!   into, the trunk's own calendar, so each frame sees all earlier ones.
+//!   The master trunk of a windowed scheduler is one of these that never
+//!   admits: finished windows are folded in with
+//!   [`SharedBandwidth::merge_window`].
+//! * **Windowed port** (after [`SharedBandwidth::sync_window`]). The port
+//!   shares the master's calendar as it stood at the last barrier — the
+//!   *frozen base*, a reference to the master's buffer, never a copy —
+//!   and keeps a private *overlay* of the runs it placed itself since
+//!   then. An admission takes the first gap in base ∪ overlay and goes
+//!   into the overlay and the window log; nothing another port does
+//!   inside the window is visible. [`SharedBandwidth::take_window`] hands
+//!   the log to the barrier, which merges it into the master.
+//!
+//! Two ports of one window can therefore reserve the same trunk instant.
+//! The merge is an overlap-coalescing union, and what it absorbed twice
+//! is counted in [`SharedStats::oversubscribed`].
 //!
 //! Channels attach a handle via [`crate::SimChannel::attach_shared`] with
-//! the pair's local→global clock offset. Unattached channels are
+//! the slot's local→global clock offset. Unattached channels are
 //! byte-identical to a build without this module.
 
 use crate::clock::SimTime;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Counters describing everything the shared trunk carried.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,6 +61,24 @@ pub struct SharedStats {
     /// Time the trunk spent transmitting (busy time; divide by the global
     /// makespan for utilization).
     pub busy: SimTime,
+    /// Trunk time reserved more than once: ports of one window place
+    /// against the same frozen calendar, so their reservations can
+    /// overlap, and the merge absorbs the overlap. The sum over merged
+    /// windows of the time placed minus the time the calendar grew by;
+    /// zero on a coupled trunk. `busy` counts this time once per frame.
+    pub oversubscribed: SimTime,
+}
+
+impl SharedStats {
+    /// Folds another delta in: sums and a max, so the order is irrelevant.
+    fn absorb(&mut self, other: &SharedStats) {
+        self.frames += other.frames;
+        self.bytes += other.bytes;
+        self.queue_total += other.queue_total;
+        self.queue_peak = self.queue_peak.max(other.queue_peak);
+        self.busy += other.busy;
+        self.oversubscribed += other.oversubscribed;
+    }
 }
 
 /// One scheduler window's trunk activity on one port: the busy intervals
@@ -63,14 +100,71 @@ impl TrunkWindow {
     }
 }
 
+/// A trunk's busy time: `(start, end)` runs in ns, sorted, disjoint and
+/// coalesced (no run touches the next), in an immutable buffer that
+/// clones share. `clone()` is a reference-count bump, which is what lets
+/// every port of a window read the master's calendar without copying it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Calendar(Arc<Vec<(u64, u64)>>);
+
+impl Calendar {
+    /// The busy runs, earliest first.
+    pub fn runs(&self) -> &[(u64, u64)] {
+        &self.0
+    }
+
+    /// Unions `sorted` — intervals in start order, overlapping or not —
+    /// into the runs with one forward pass, and returns the time the busy
+    /// set grew by. Clones taken before keep the old buffer.
+    fn union(&mut self, sorted: &[(u64, u64)]) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let old = self.runs();
+        let mut runs = Vec::with_capacity(old.len() + sorted.len());
+        let (mut i, mut grown) = (0, 0);
+        for &(mut lo, mut hi) in sorted {
+            // Old runs that end before the interval starts go over as
+            // they are.
+            let before = i + old[i..].partition_point(|&(_, end)| end < lo);
+            runs.extend_from_slice(&old[i..before]);
+            i = before;
+            // The interval absorbs the run just written if that reaches it
+            // (new intervals may overlap each other) and every old run
+            // that starts at or before its end.
+            let mut absorbed = 0;
+            if let Some(&(plo, phi)) = runs.last().filter(|prev| prev.1 >= lo) {
+                runs.pop();
+                absorbed += phi - plo;
+                (lo, hi) = (plo, hi.max(phi));
+            }
+            while let Some(&(olo, ohi)) = old.get(i).filter(|next| next.0 <= hi) {
+                i += 1;
+                absorbed += ohi - olo;
+                (lo, hi) = (lo.min(olo), hi.max(ohi));
+            }
+            runs.push((lo, hi));
+            grown += (hi - lo) - absorbed;
+        }
+        runs.extend_from_slice(&old[i..]);
+        self.0 = Arc::new(runs);
+        grown
+    }
+}
+
 /// One transmission capacity shared by every attached channel, on the
 /// global fleet timeline.
 #[derive(Debug)]
 pub struct SharedBandwidth {
     /// Serialization cost per payload byte on the shared trunk.
     per_byte: SimTime,
-    /// Busy intervals `start → end` (ns), disjoint and coalesced.
-    calendar: BTreeMap<u64, u64>,
+    /// The trunk's own busy runs; on a windowed port, the master's as
+    /// they stood at the last [`SharedBandwidth::sync_window`].
+    calendar: Calendar,
+    /// A windowed port's own placements since the sync, kept like a
+    /// calendar's runs and disjoint from them. Never written on a coupled
+    /// trunk.
+    overlay: Vec<(u64, u64)>,
     stats: SharedStats,
     /// When windowed (a parallel scheduler port), the raw intervals placed
     /// since the last [`SharedBandwidth::sync_window`]. `None` keeps the
@@ -83,7 +177,8 @@ impl SharedBandwidth {
     pub fn new(per_byte: SimTime) -> Self {
         SharedBandwidth {
             per_byte,
-            calendar: BTreeMap::new(),
+            calendar: Calendar::default(),
+            overlay: Vec::new(),
             stats: SharedStats::default(),
             window_log: None,
         }
@@ -101,38 +196,51 @@ impl SharedBandwidth {
     pub fn admit(&mut self, now: SimTime, bytes: usize) -> SimTime {
         let tx = self.per_byte.as_nanos() * bytes as u64;
         let mut start = now.as_nanos();
-        // An interval already covering `start` pushes it to its end …
-        if let Some((_, &end)) = self.calendar.range(..=start).next_back() {
-            if end > start {
-                start = end;
-            }
-        }
-        // … and so does every later interval that leaves no tx-sized gap.
-        while let Some((&s, &e)) = self.calendar.range(start..).next() {
-            if s.saturating_sub(start) >= tx {
+        let (base, own) = (self.calendar.runs(), &self.overlay[..]);
+        // Runs that end at or before `start` cannot move the frame. From
+        // the first one that can, in each list, walk the two lists as one
+        // sequence in start order: a run that covers `start` or leaves no
+        // tx-sized gap before it pushes `start` to its end.
+        let mut i = base.partition_point(|&(_, end)| end <= start);
+        let mut j = own.partition_point(|&(_, end)| end <= start);
+        loop {
+            let in_base = match (base.get(i), own.get(j)) {
+                (Some(b), Some(o)) => b.0 <= o.0,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let (lo, hi) = if in_base { base[i] } else { own[j] };
+            if lo > start && lo - start >= tx {
                 break;
             }
-            start = e;
-        }
-        if let Some(log) = &mut self.window_log {
-            log.push((start, start + tx));
-        }
-        let mut lo = start;
-        let mut hi = start + tx;
-        // Coalesce with abutting neighbors so the calendar stays small
-        // when traffic is back-to-back.
-        if let Some((&s, &e)) = self.calendar.range(..=lo).next_back() {
-            if e == lo {
-                self.calendar.remove(&s);
-                lo = s;
+            start = hi;
+            if in_base {
+                i += 1;
+            } else {
+                j += 1;
             }
         }
-        if let Some(&e) = self.calendar.get(&hi) {
-            self.calendar.remove(&hi);
-            hi = e;
-        }
-        if hi > lo {
-            self.calendar.insert(lo, hi);
+        // The cursors stopped on the first run past the frame: the place
+        // it goes in whichever list takes it.
+        let (runs, at) = match &mut self.window_log {
+            Some(log) => {
+                log.push((start, start + tx));
+                (&mut self.overlay, j)
+            }
+            None => (Arc::make_mut(&mut self.calendar.0), i),
+        };
+        if tx > 0 {
+            // Coalesce with abutting neighbors so back-to-back traffic
+            // stays one run.
+            let joins_prev = at > 0 && runs[at - 1].1 == start;
+            let joins_next = runs.get(at).is_some_and(|&(lo, _)| lo == start + tx);
+            match (joins_prev, joins_next) {
+                (true, true) => runs[at - 1].1 = runs.remove(at).1,
+                (true, false) => runs[at - 1].1 = start + tx,
+                (false, true) => runs[at].0 = start,
+                (false, false) => runs.insert(at, (start, start + tx)),
+            }
         }
         let queue = SimTime::from_nanos(start - now.as_nanos());
         let tx = SimTime::from_nanos(tx);
@@ -149,18 +257,22 @@ impl SharedBandwidth {
         self.stats
     }
 
-    /// Read-only view of the busy calendar, for frozen window snapshots.
-    pub fn calendar(&self) -> &BTreeMap<u64, u64> {
+    /// The trunk's busy calendar; a clone of it is the frozen base a
+    /// window's ports sync to. A windowed port's own placements are not
+    /// in it.
+    pub fn calendar(&self) -> &Calendar {
         &self.calendar
     }
 
-    /// Re-grounds this port on a frozen copy of a master calendar and
+    /// Re-grounds this port on a master calendar as it stands now and
     /// starts a fresh window log: subsequent admissions see the master's
     /// reservations through the previous window plus only this port's own
-    /// in-window placements. Stats reset to zero so
-    /// [`SharedBandwidth::take_window`] yields a pure delta.
-    pub fn sync_window(&mut self, frozen: &BTreeMap<u64, u64>) {
-        self.calendar.clone_from(frozen);
+    /// in-window placements. Shares `frozen`'s buffer; copies nothing.
+    /// Stats reset to zero so [`SharedBandwidth::take_window`] yields a
+    /// pure delta.
+    pub fn sync_window(&mut self, frozen: &Calendar) {
+        self.calendar = frozen.clone();
+        self.overlay.clear();
         self.stats = SharedStats::default();
         self.window_log = Some(Vec::new());
     }
@@ -180,61 +292,35 @@ impl SharedBandwidth {
     /// stat folds (sums and a max) make the merged state independent of
     /// the order windows are applied in.
     pub fn merge_window(&mut self, w: &TrunkWindow) {
-        for &(lo, hi) in &w.intervals {
-            self.insert_union(lo, hi);
-        }
-        self.stats.frames += w.stats.frames;
-        self.stats.bytes += w.stats.bytes;
-        self.stats.queue_total += w.stats.queue_total;
-        self.stats.queue_peak = self.stats.queue_peak.max(w.stats.queue_peak);
-        self.stats.busy += w.stats.busy;
+        let mut log: Vec<(u64, u64)> =
+            w.intervals.iter().copied().filter(|&(lo, hi)| hi > lo).collect();
+        log.sort_unstable();
+        let placed: u64 = log.iter().map(|&(lo, hi)| hi - lo).sum();
+        let grown = self.calendar.union(&log);
+        self.stats.oversubscribed += SimTime::from_nanos(placed - grown);
+        self.stats.absorb(&w.stats);
     }
 
-    /// Drops calendar intervals ending at or before `horizon`. Safe once
+    /// Drops calendar runs ending at or before `horizon`. Safe once
     /// every port's clock has passed the horizon: admissions only consult
-    /// intervals covering or following their start instant, so a
-    /// reservation wholly in the past can never move a future placement.
-    /// Keeps the master calendar bounded to roughly one window of traffic.
+    /// runs covering or following their start instant, so a reservation
+    /// wholly in the past can never move a future placement. Keeps the
+    /// master calendar bounded to roughly one window of traffic.
     pub fn prune_before(&mut self, horizon: SimTime) {
         let h = horizon.as_nanos();
-        // Disjoint intervals sorted by start have sorted ends too.
-        while let Some((&s, &e)) = self.calendar.iter().next() {
-            if e > h {
-                break;
-            }
-            self.calendar.remove(&s);
+        // Disjoint runs sorted by start have sorted ends too.
+        let past = self.calendar.runs().partition_point(|&(_, end)| end <= h);
+        if past > 0 {
+            Arc::make_mut(&mut self.calendar.0).drain(..past);
         }
-    }
-
-    /// Inserts `[lo, hi)` as a union: absorbs every existing interval it
-    /// overlaps or abuts, preserving the disjoint-and-coalesced invariant.
-    /// Unlike [`SharedBandwidth::admit`]'s gap placement, overlapping
-    /// input is expected here.
-    fn insert_union(&mut self, mut lo: u64, mut hi: u64) {
-        if hi <= lo {
-            return;
-        }
-        if let Some((&s, &e)) = self.calendar.range(..=lo).next_back() {
-            if e >= lo {
-                self.calendar.remove(&s);
-                lo = s;
-                hi = hi.max(e);
-            }
-        }
-        while let Some((&s, &e)) = self.calendar.range(lo..).next() {
-            if s > hi {
-                break;
-            }
-            self.calendar.remove(&s);
-            hi = hi.max(e);
-        }
-        self.calendar.insert(lo, hi);
     }
 }
 
 /// A handle to a [`SharedBandwidth`] trunk, cloneable per channel. `Rc`
-/// because the whole fleet runs on one thread — the simulation is
-/// single-threaded by construction.
+/// because a trunk (or a windowed port) is owned by one thread: every
+/// channel attached to it belongs to one scheduler slot, and a slot lives
+/// and dies on the worker that built it. Only [`Calendar`] clones and
+/// [`TrunkWindow`]s cross threads.
 pub type SharedLink = Rc<RefCell<SharedBandwidth>>;
 
 #[cfg(test)]
@@ -297,7 +383,7 @@ mod tests {
             stats: SharedStats::default(),
         };
         master.merge_window(&w);
-        let got: Vec<_> = master.calendar().iter().map(|(&s, &e)| (s, e)).collect();
+        let got = master.calendar().runs();
         assert_eq!(got, vec![(50, 400), (500, 600)]);
     }
 
@@ -312,7 +398,7 @@ mod tests {
         m2.merge_window(&b);
         m2.merge_window(&a);
         assert_eq!(m1.calendar(), m2.calendar());
-        let got: Vec<_> = m1.calendar().iter().map(|(&s, &e)| (s, e)).collect();
+        let got = m1.calendar().runs();
         assert_eq!(got, vec![(0, 300), (400, 500)]);
     }
 
@@ -333,7 +419,7 @@ mod tests {
         assert_eq!(w.stats.frames, 2);
         assert_eq!(w.stats.queue_total.as_nanos(), 800);
         master.merge_window(&w);
-        let got: Vec<_> = master.calendar().iter().map(|(&s, &e)| (s, e)).collect();
+        let got = master.calendar().runs();
         assert_eq!(got, vec![(0, 1_600)]);
         assert_eq!(master.stats().frames, 3);
     }
@@ -345,7 +431,7 @@ mod tests {
         bw.admit(SimTime::from_nanos(2_000), 100); // [2000, 3000)
         bw.admit(SimTime::from_nanos(5_000), 100); // [5000, 6000)
         bw.prune_before(SimTime::from_nanos(3_000));
-        let got: Vec<_> = bw.calendar().iter().map(|(&s, &e)| (s, e)).collect();
+        let got = bw.calendar().runs();
         assert_eq!(got, vec![(5_000, 6_000)]);
         // Placement after the prune is unaffected for any admit at or
         // past the horizon.

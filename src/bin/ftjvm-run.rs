@@ -167,8 +167,8 @@ fn fleet_main(args: &[String]) -> ! {
     );
     if let Some(s) = &report.shared {
         println!(
-            "  trunk: {} frames, {} bytes, queue total {} (peak {}), busy {}",
-            s.frames, s.bytes, s.queue_total, s.queue_peak, s.busy
+            "  trunk: {} frames, {} bytes, queue total {} (peak {}), busy {}, oversubscribed {}",
+            s.frames, s.bytes, s.queue_total, s.queue_peak, s.busy, s.oversubscribed
         );
     }
     let p = &report.pool;

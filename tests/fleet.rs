@@ -120,3 +120,54 @@ fn fleet_seed_controls_fault_plan() {
     );
     assert_ne!(split_seed(1, 0, 0), split_seed(2, 0, 0));
 }
+
+/// CRC32C over everything simulated a fleet run reports: the five trunk
+/// statistics, the commit percentiles, the makespan, the backlog peak,
+/// the served count, and every per-pair outcome (failure timelines
+/// included).
+fn fleet_fingerprint(cfg: &FleetConfig) -> u32 {
+    let r = run_fleet(cfg).expect("fleet runs");
+    assert!(r.all_verified(), "fleet verifies");
+    let trunk = r.shared.map(|s| (s.frames, s.bytes, s.queue_total, s.queue_peak, s.busy));
+    let text = format!(
+        "{trunk:?} {:?} {:?} {:?} {:?} {} {} {:?}",
+        r.commit_p50,
+        r.commit_p99,
+        r.commit_max,
+        r.makespan,
+        r.backlog_peak,
+        r.served_requests,
+        r.outcomes
+    );
+    ftjvm::replication::crc32c(text.as_bytes())
+}
+
+/// The fleet's simulated numbers against constants, not only against a
+/// rerun: the 64-pair default (trunk about 28% busy) and the 512-pair
+/// rack-partition scenario the benchmark runs (81% busy), each at one,
+/// two and four worker threads. Captured from the `BTreeMap` trunk
+/// calendar immediately before it was replaced; any change to where a
+/// frame is placed on the trunk moves a queue wait and with it a pair's
+/// timeline.
+#[test]
+fn fleet_fingerprints_are_pinned() {
+    let cases = [
+        ("default-64", FleetConfig::default(), 0xc502_068e_u32),
+        (
+            "full-512",
+            FleetConfig { pairs: 512, partition_rack: Some(5), ..FleetConfig::default() },
+            0x54e0_7135,
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (name, cfg, want) in cases {
+        for threads in [1, 2, 4] {
+            let got = fleet_fingerprint(&FleetConfig { threads, ..cfg.clone() });
+            if got != want {
+                wrong
+                    .push(format!("{name} at {threads} threads: {got:#010x}, pinned {want:#010x}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "fleet fingerprints moved:\n{}", wrong.join("\n"));
+}
