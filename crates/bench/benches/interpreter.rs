@@ -107,7 +107,7 @@ fn bench_block_cap(c: &mut Criterion) {
             b.iter(|| {
                 let world = World::shared();
                 let (report, _, _, _) =
-                    harness.runtime().run_primary_to_log(&world, FaultPlan::None).expect("runs");
+                    harness.run_primary_to_log(&world, FaultPlan::None).expect("runs");
                 black_box(report.counters.instructions)
             })
         });

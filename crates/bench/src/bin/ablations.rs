@@ -1,24 +1,28 @@
 //! Ablations for the design choices DESIGN.md calls out:
 //!
-//! 1. **Interval compression** (related-work extension): per-acquisition
-//!    vs interval-compressed lock logs, per benchmark — reproducing the
-//!    paper's observation that mtrt's 700 k acquisitions collapse to ~56
-//!    intervals ("four orders of magnitude fewer events").
-//! 2. **Flush policy**: log-buffer threshold vs communication overhead vs
-//!    the record window lost at a crash.
-//! 3. **Warm vs cold backup**: failover latency decomposition.
-//! 4. **Timeslice**: quantum length vs schedule records transmitted (TS).
+//! * **Ablation 1 — interval compression** (related-work extension):
+//!   per-acquisition vs interval-compressed lock logs, per benchmark —
+//!   reproducing the paper's observation that mtrt's 700 k acquisitions
+//!   collapse to ~56 intervals ("four orders of magnitude fewer events").
+//! * **Ablation 2 — flush policy**: log-buffer threshold vs communication
+//!   overhead vs the record window lost at a crash.
+//! * **Ablation 4 — timeslice**: quantum length vs schedule records
+//!   transmitted (TS).
+//! * **Ablation 5 — wire codec**: fixed per-record messages vs batched
+//!   delta/varint frames.
+//!
+//! There is no Ablation 3 (warm vs cold backup): the `failover` binary
+//! measures the co-simulated hot standby against the cold backup instead.
 //!
 //! Run: `cargo run -p ftjvm-bench --release --bin ablations`
 
 use ftjvm_bench::bench_config;
-use ftjvm_core::{FtConfig, FtJvm, LockVariant, ReplicationMode, WireCodec};
+use ftjvm_core::{FtJvm, LockVariant, ReplicationMode, WireCodec};
 use ftjvm_netsim::{Category, FaultPlan};
 
 fn main() {
     interval_compression();
     flush_policy();
-    warm_backup();
     timeslice();
     wire_codec();
 }
@@ -84,35 +88,6 @@ fn flush_policy() {
         );
     }
     println!("(smaller buffers lose fewer records at a crash but flush more often)\n");
-}
-
-fn warm_backup() {
-    println!("== Ablation 3: warm vs cold backup (failover latency) ==");
-    println!(
-        "{:10} {:>14} {:>14} {:>14} {:>14}",
-        "benchmark", "detection", "replay (cold)", "failover cold", "failover warm"
-    );
-    for w in ftjvm_workloads::spec_suite() {
-        // Crash roughly mid-run.
-        let (base, _) =
-            FtJvm::new(w.program.clone(), FtConfig::default()).run_unreplicated().expect("base");
-        let mid = base.counters.instructions / 2;
-        let mut cold = bench_config(ReplicationMode::LockSync);
-        cold.fault = FaultPlan::AfterInstructions(mid);
-        let mut warm = cold.clone();
-        warm.warm_backup = true;
-        let c = FtJvm::new(w.program.clone(), cold).run_with_failure().expect("cold");
-        let h = FtJvm::new(w.program.clone(), warm).run_with_failure().expect("warm");
-        println!(
-            "{:10} {:>14} {:>14} {:>14} {:>14}",
-            w.name,
-            c.detection_latency.to_string(),
-            c.recovery_replay_time.to_string(),
-            c.failover_latency.to_string(),
-            h.failover_latency.to_string(),
-        );
-    }
-    println!("(the paper's cold backup pays the replay at failover; a warm one already has)\n");
 }
 
 fn timeslice() {

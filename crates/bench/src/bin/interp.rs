@@ -69,7 +69,6 @@ fn slices(w: &Workload) -> (Slices, Slices) {
         let harness = FtJvm::new(w.program.clone(), bench_config(mode));
         let world = ftjvm_vm::World::shared();
         let (report, _, _, _) = harness
-            .runtime()
             .run_primary_to_log(&world, ftjvm_netsim::FaultPlan::None)
             .expect("primary runs");
         report.acct

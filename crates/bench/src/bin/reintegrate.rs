@@ -6,9 +6,7 @@
 //! Run: `cargo run -p ftjvm-bench --release --bin reintegrate`
 
 use ftjvm_bench::bench_config;
-use ftjvm_core::runtime::CheckpointPlan;
-use ftjvm_core::ReplicationMode;
-use ftjvm_core::{FtConfig, FtJvm, LagBudget};
+use ftjvm_core::{CheckpointPlan, FtConfig, FtJvm, LagBudget, ReplicationMode};
 use ftjvm_netsim::FaultPlan;
 use ftjvm_workloads as workloads;
 

@@ -40,10 +40,11 @@
 //! re-integration); lock-sync vs thread-sched and fixed vs compact codec
 //! are drawn per pair so the fleet exercises the full matrix.
 
-use crate::ftjvm::{FtConfig, LockVariant, ReplicationMode};
+use crate::ftjvm::{FtConfig, FtJvm, LockVariant, ReplicationMode};
 use crate::group::{GroupConfig, GroupReport, GroupTask};
+use crate::pair::CheckpointPlan;
 use crate::parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};
-use crate::runtime::{CheckpointPlan, LagBudget, ReplicaRuntime};
+use crate::runtime::LagBudget;
 use ftjvm_netsim::{FailureDetector, FaultPlan, SharedLink, SharedStats, SimTime, WireCodec};
 use ftjvm_vm::{NativeRegistry, Program, VmError};
 use std::collections::HashMap;
@@ -513,11 +514,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, VmError> {
                 }
             }
         };
-        let mut rt = ReplicaRuntime::new(program, natives.clone(), plan.ft_config(cfg));
+        let mut jvm = FtJvm::with_natives(program, natives.clone(), plan.ft_config(cfg));
         if let Some(link) = port {
-            rt.set_shared_bandwidth(link.clone(), plan.start_offset);
+            jvm.set_shared_bandwidth(link.clone(), plan.start_offset);
         }
-        GroupTask::new(rt, plan.group_config(cfg, cfg.group_size.unwrap_or(2)))
+        GroupTask::new(jvm, plan.group_config(cfg, cfg.group_size.unwrap_or(2)))
     };
 
     let finish = |pair_id: u32, task: Result<GroupTask, VmError>| -> SlotResult {

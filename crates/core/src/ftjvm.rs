@@ -12,20 +12,23 @@
 //!   backup detects the failure, replays the log, and carries the program
 //!   to completion as the new authority.
 //!
-//! Replicas are built by [`crate::runtime::ReplicaRuntime`] and driven by
-//! one replication driver: [`crate::group::GroupTask`] for everything hot
-//! (a pair is a group with one standby), [`crate::pair::PairTask`] for the
-//! cold store-only modes. Set [`FtConfig::lag_budget`] to
+//! The rest of `FtJvm` lives beside what it drives: the replica builders
+//! and the log halves of a cold pair in [`crate::runtime`], the pair runs
+//! and [`FtJvm::run_checkpointed`] in [`crate::pair`]. Everything hot goes
+//! through one replication driver, [`crate::group::GroupTask`] (a pair is
+//! a group with one standby). Set [`FtConfig::lag_budget`] to
 //! [`LagBudget::Hot`] to co-simulate a hot standby that streams the log
 //! and replays only the unconsumed suffix at failover.
 
-use crate::runtime::{LagBudget, ReplicaRuntime};
+use crate::pair::CheckpointPlan;
+use crate::runtime::LagBudget;
 use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
-use ftjvm_netsim::{ChannelStats, FailureDetector, FaultPlan, NetFaultPlan, SimTime, WireCodec};
+use ftjvm_netsim::{
+    ChannelStats, FailureDetector, FaultPlan, NetFaultPlan, SharedLink, SimTime, WireCodec,
+};
 use ftjvm_vm::{
-    NativeRegistry, NoopCoordinator, Program, RunReport, SharedWorld, SimEnv, Vm, VmConfig,
-    VmError, World,
+    NativeRegistry, NoopCoordinator, Program, RunReport, SharedWorld, Vm, VmConfig, VmError, World,
 };
 use std::sync::Arc;
 
@@ -77,14 +80,6 @@ pub struct FtConfig {
     pub mode: ReplicationMode,
     /// Lock-record encoding for [`ReplicationMode::LockSync`].
     pub lock_variant: LockVariant,
-    /// A *warm* backup replays log records as they arrive instead of only
-    /// after a failure (the paper: "Keeping the backup updated would
-    /// require only minor modifications"). Functionally identical; the
-    /// replay work moves from the failover path to normal operation, so
-    /// [`PairReport::failover_latency`] collapses to detection time.
-    /// Accounting-only — for an actually co-simulated standby see
-    /// [`FtConfig::lag_budget`].
-    pub warm_backup: bool,
     /// How far the backup may lag the primary's log: [`LagBudget::Cold`]
     /// (store-only, replay at failover — the paper's baseline) or
     /// [`LagBudget::Hot`] (co-simulated streaming replay; only the
@@ -142,7 +137,6 @@ impl Default for FtConfig {
         FtConfig {
             mode: ReplicationMode::LockSync,
             lock_variant: LockVariant::PerAcquisition,
-            warm_backup: false,
             lag_budget: LagBudget::Cold,
             vm: VmConfig::default(),
             primary_seed: 11,
@@ -199,8 +193,9 @@ pub struct PairReport {
     /// this is only the unconsumed suffix left at promotion.
     pub recovery_replay_time: SimTime,
     /// End-to-end failover latency: detection plus the replay left to do —
-    /// the whole log for a cold backup, the unconsumed suffix for a hot
-    /// standby, nothing for the legacy warm accounting flag.
+    /// the whole log for a cold backup (the stored suffix after its latest
+    /// snapshot when checkpointed), the unconsumed suffix for a hot
+    /// standby.
     pub failover_latency: SimTime,
     /// Log-channel statistics.
     pub channel: ChannelStats,
@@ -209,6 +204,27 @@ pub struct PairReport {
 }
 
 impl PairReport {
+    /// The report of a run in which no backup took over.
+    pub(crate) fn without_failover(
+        primary: RunReport,
+        primary_stats: ReplicationStats,
+        channel: ChannelStats,
+        world: SharedWorld,
+    ) -> Self {
+        PairReport {
+            primary,
+            primary_stats,
+            crashed: false,
+            backup: None,
+            backup_stats: None,
+            detection_latency: SimTime::ZERO,
+            recovery_replay_time: SimTime::ZERO,
+            failover_latency: SimTime::ZERO,
+            channel,
+            world,
+        }
+    }
+
     /// The console text lines the external world observed, in order.
     pub fn console(&self) -> Vec<String> {
         self.world.borrow().console_texts()
@@ -231,24 +247,31 @@ impl PairReport {
     }
 }
 
-/// A fault-tolerant JVM: a program plus a replica-pair configuration.
-#[derive(Debug)]
+/// A fault-tolerant JVM: a program, its natives, and a replica-pair
+/// configuration. Each run builds fresh replicas over a fresh [`World`].
+/// Cloning is cheap (the program is behind an [`Arc`]); a clone that
+/// shares a trunk ([`FtJvm::set_shared_bandwidth`]) contends for the same
+/// bandwidth.
+#[derive(Debug, Clone)]
 pub struct FtJvm {
-    program: Arc<Program>,
-    natives: NativeRegistry,
-    cfg: FtConfig,
+    pub(crate) program: Arc<Program>,
+    pub(crate) natives: NativeRegistry,
+    pub(crate) cfg: FtConfig,
+    /// The shared trunk this pair's perfect channels queue on, with the
+    /// offset of this pair's local clock on the trunk's timeline.
+    pub(crate) shared: Option<(SharedLink, SimTime)>,
 }
 
 impl FtJvm {
     /// Creates a harness with the builtin native registry.
     pub fn new(program: Arc<Program>, cfg: FtConfig) -> Self {
-        FtJvm { program, natives: NativeRegistry::with_builtins(), cfg }
+        FtJvm::with_natives(program, NativeRegistry::with_builtins(), cfg)
     }
 
     /// Creates a harness with a custom native registry (applications with
     /// their own natives and SE handlers).
     pub fn with_natives(program: Arc<Program>, natives: NativeRegistry, cfg: FtConfig) -> Self {
-        FtJvm { program, natives, cfg }
+        FtJvm { program, natives, cfg, shared: None }
     }
 
     /// The configuration.
@@ -256,18 +279,14 @@ impl FtJvm {
         &self.cfg
     }
 
-    fn vm_config(&self, seed: u64) -> VmConfig {
-        VmConfig { sched_seed: seed, ..self.cfg.vm.clone() }
-    }
-
-    fn primary_env(&self, world: &SharedWorld) -> SimEnv {
-        SimEnv::new("primary", world.clone(), self.cfg.primary_skew, self.cfg.primary_env_seed)
-    }
-
-    /// The replica runtime this harness drives (orchestration entry
-    /// point — build replicas and step them directly for finer control).
-    pub fn runtime(&self) -> ReplicaRuntime {
-        ReplicaRuntime::new(self.program.clone(), self.natives.clone(), self.cfg.clone())
+    /// This harness itself: the replica builders and log entry points
+    /// ([`FtJvm::build_primary`], [`FtJvm::run_primary_to_log`],
+    /// [`FtJvm::replay_log`]) are methods of `FtJvm`. Kept only because
+    /// the benchmark package under `benchmark/` calls
+    /// `runtime().run_primary_to_log(..)`; new code calls the methods
+    /// directly.
+    pub fn runtime(&self) -> &FtJvm {
+        self
     }
 
     /// Runs the program on a single, unreplicated VM (the baseline of every
@@ -290,9 +309,10 @@ impl FtJvm {
 
     /// Runs the primary under full replication. If the fault plan fires,
     /// the backup detects the failure, replays the log and finishes the
-    /// program. With [`FtConfig::lag_budget`] set to [`LagBudget::Hot`]
-    /// the pair is co-simulated and only the unconsumed log suffix is
-    /// replayed at failover.
+    /// program. The configured [`LagBudget`] and
+    /// [`FtConfig::checkpoint_interval`] pick the pair run of
+    /// [`crate::pair`]: cold, cold-checkpointed, or hot — co-simulated,
+    /// replaying only the unconsumed log suffix at failover.
     ///
     /// # Errors
     /// Propagates fatal VM errors from either replica, including
@@ -300,7 +320,14 @@ impl FtJvm {
     /// program violated the mode's assumptions (e.g. a data race under
     /// lock synchronization).
     pub fn run_replicated(&self) -> Result<PairReport, VmError> {
-        self.runtime().run_pair(self.cfg.fault)
+        match (self.cfg.lag_budget, self.cfg.checkpoint_interval) {
+            (LagBudget::Cold, None) => self.run_cold(),
+            (LagBudget::Cold, Some(_)) => self.run_cold_checkpointed(),
+            (LagBudget::Hot, _) => {
+                let plan = CheckpointPlan { fault: self.cfg.fault, ..CheckpointPlan::default() };
+                Ok(self.run_hot(plan)?.pair)
+            }
+        }
     }
 
     /// Like [`FtJvm::run_replicated`] but asserts that a fault plan is
@@ -329,21 +356,7 @@ impl FtJvm {
         &self,
         gcfg: crate::group::GroupConfig,
     ) -> Result<crate::group::GroupReport, VmError> {
-        crate::group::GroupTask::new(self.runtime(), gcfg)?.run_to_completion()?.into_report()
-    }
-
-    /// Runs a checkpointed hot pair per `plan` — backup kill, degraded
-    /// mode, and re-integration (requires
-    /// [`FtConfig::checkpoint_interval`]). See
-    /// [`crate::runtime::ReplicaRuntime::run_checkpointed`].
-    ///
-    /// # Errors
-    /// Propagates fatal VM errors from any replica.
-    pub fn run_checkpointed(
-        &self,
-        plan: crate::runtime::CheckpointPlan,
-    ) -> Result<crate::runtime::CheckpointReport, VmError> {
-        self.runtime().run_checkpointed(plan)
+        crate::group::GroupTask::new(self.clone(), gcfg)?.run_to_completion()?.into_report()
     }
 
     /// Runs the failure-free pair, then replays the complete log on a
@@ -353,23 +366,16 @@ impl FtJvm {
     /// # Errors
     /// Propagates fatal VM errors.
     pub fn run_backup_replay(&self) -> Result<PairReport, VmError> {
-        let runtime = self.runtime();
         let world = World::shared();
-        let (primary_report, frames, primary_stats, channel_stats) =
-            runtime.run_primary_to_log(&world, FaultPlan::None)?;
-        let (backup_report, backup_stats, recovered_at) = runtime.replay_log(&world, frames)?;
-        let recovery_replay_time = recovered_at.unwrap_or_else(|| backup_report.acct.now());
+        let (primary, frames, primary_stats, channel) =
+            self.run_primary_to_log(&world, FaultPlan::None)?;
+        let (backup, backup_stats, recovered_at) = self.replay_log(&world, frames)?;
+        let recovery_replay_time = recovered_at.unwrap_or_else(|| backup.acct.now());
         Ok(PairReport {
-            primary: primary_report,
-            primary_stats,
-            crashed: false,
-            backup: Some(backup_report),
+            backup: Some(backup),
             backup_stats: Some(backup_stats),
-            detection_latency: SimTime::ZERO,
             recovery_replay_time,
-            failover_latency: SimTime::ZERO,
-            channel: channel_stats,
-            world,
+            ..PairReport::without_failover(primary, primary_stats, channel, world)
         })
     }
 
@@ -400,7 +406,7 @@ impl FtJvm {
     /// Propagates fatal VM errors.
     pub fn capture_log(&self) -> Result<Vec<crate::records::Record>, VmError> {
         let world = World::shared();
-        let (_, frames, _, _) = self.runtime().run_primary_to_log(&world, FaultPlan::None)?;
+        let (_, frames, _, _) = self.run_primary_to_log(&world, FaultPlan::None)?;
         crate::codec::decode_frames(frames)
             .map_err(|e| VmError::Internal(format!("own log failed to decode: {e}")))
     }

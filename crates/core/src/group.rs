@@ -2,9 +2,9 @@
 //! voting (BFT-lite).
 //!
 //! [`GroupTask`] is the one driver that slices a hot primary and feeds
-//! its standbys — a hot pair ([`crate::pair::PairTask`]) is a group of
-//! size 2. The primary fans its sealed frame stream over `k` independent
-//! links (one [`crate::primary::LogChannel`] per standby, each with its
+//! its standbys — a hot pair ([`crate::pair`]) is a group of size 2, and
+//! [`crate::FtJvm`] builds its replicas. The primary fans its sealed frame
+//! stream over `k` independent links (one [`crate::primary::LogChannel`] per standby, each with its
 //! own send/receive windows on a lossy transport), every standby
 //! acknowledges independently, and output commit waits on a configurable
 //! [`AckPolicy`] over the live links. Standbys carry a *static rank* —
@@ -46,8 +46,9 @@ use crate::codec::{
     flush_digest, frame_digest, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk,
     frame_is_vote, parse_vote_frame, SnapshotAssembler,
 };
+use crate::ftjvm::FtJvm;
 use crate::primary::{AckPolicy, PrimaryCore};
-use crate::runtime::{Replica, ReplicaRuntime, SLICE_UNITS};
+use crate::runtime::{Replica, SLICE_UNITS};
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{ChannelStats, FaultPlan, HeartbeatMonitor, SimTime};
@@ -423,7 +424,7 @@ enum GState {
 /// ranked standbys, per-slot failure detection, vote gates, and the
 /// promotion chain in a single owned task.
 pub struct GroupTask {
-    rt: ReplicaRuntime,
+    jvm: FtJvm,
     world: SharedWorld,
     cfg: GroupConfig,
     state: GState,
@@ -486,7 +487,7 @@ fn group_epoch_ack(slots: &[Slot]) -> Option<u64> {
 /// final chunk's arrival and replays the gated buffered suffix). Returns
 /// the reintegration instant when the transfer completed.
 fn deliver_slot(
-    rt: &ReplicaRuntime,
+    jvm: &FtJvm,
     world: &SharedWorld,
     slot: &mut Slot,
     delivered: Vec<(SimTime, Bytes)>,
@@ -512,9 +513,9 @@ fn deliver_slot(
                         .offer(&frame)
                         .map_err(|e| VmError::Internal(format!("snapshot transfer: {e}")))?;
                     if let Some((_epoch, blob)) = done {
-                        let mut nb = Box::new(rt.build_resumed_backup(world, &blob, slot.rank)?);
+                        let mut nb = Box::new(jvm.build_resumed_backup(world, &blob, slot.rank)?);
                         nb.wait_until(arrival);
-                        slot.monitor = rt.cfg().detector.monitor(arrival);
+                        slot.monitor = jvm.cfg.detector.monitor(arrival);
                         slot.report = None;
                         slot.gate.reset();
                         let seeded = slot.gate.admit_all(std::mem::take(&mut buffered));
@@ -583,14 +584,14 @@ impl GroupTask {
     /// size-2 one that never re-integrates), when the size, quorum, or
     /// standby-kill slot is out of range, and propagates program-loading
     /// errors.
-    pub fn new(rt: ReplicaRuntime, cfg: GroupConfig) -> Result<Self, VmError> {
+    pub fn new(jvm: FtJvm, cfg: GroupConfig) -> Result<Self, VmError> {
         if cfg.size < 2 {
             return Err(VmError::Internal("a replica group needs at least 2 members".into()));
         }
         // Snapshots ground every join: re-integration of a lost standby,
         // and the re-homing of the other seats after a promotion.
         let joins_possible = cfg.reintegrate || cfg.size > 2;
-        if joins_possible && rt.cfg().checkpoint_interval.is_none() {
+        if joins_possible && jvm.cfg.checkpoint_interval.is_none() {
             return Err(VmError::Internal(
                 "replica groups require FtConfig::checkpoint_interval (state transfer grounds every join)"
                     .into(),
@@ -615,26 +616,26 @@ impl GroupTask {
         }
         let world = World::shared();
         let fault = cfg.kills.first().copied().unwrap_or(FaultPlan::None);
-        let mut primary = Box::new(rt.build_primary(&world, fault)?);
+        let mut primary = Box::new(jvm.build_primary(&world, fault)?);
         {
             let core = core_of(&mut primary)?;
             let extra: Vec<_> =
-                (0..cfg.size.saturating_sub(2)).map(|_| rt.make_channel()).collect();
+                (0..cfg.size.saturating_sub(2)).map(|_| jvm.make_channel()).collect();
             core.enable_fanout(extra);
             core.set_ack_policy(cfg.ack_policy);
             core.set_vote_quorum(cfg.vote_quorum);
             // Byzantine injection models the *original* primary's fault;
             // replacements promoted later are honest.
-            core.set_byzantine(rt.cfg().net_fault.clone());
+            core.set_byzantine(jvm.cfg.net_fault.clone());
         }
         let mut slots = Vec::with_capacity(cfg.size - 1);
         for i in 0..cfg.size - 1 {
-            let b = rt.build_hot_backup(&world, i as u32)?;
+            let b = jvm.build_hot_backup(&world, i as u32)?;
             slots.push(Slot {
                 member: i as u32 + 1,
                 rank: i as u32,
                 state: SlotState::Live(Box::new(b)),
-                monitor: rt.cfg().detector.monitor(SimTime::ZERO),
+                monitor: jvm.cfg.detector.monitor(SimTime::ZERO),
                 assembler: SnapshotAssembler::new(),
                 ack_base: 0,
                 report: None,
@@ -646,7 +647,7 @@ impl GroupTask {
             GState::Run(Box::new(ReignState { reign: 0, member: 0, primary, slots, units_run: 0 }));
         let fresh_rank = cfg.size as u32 - 1;
         Ok(GroupTask {
-            rt,
+            jvm,
             world,
             cfg,
             state,
@@ -677,11 +678,6 @@ impl GroupTask {
     /// [`GroupEvent::Done`].
     pub fn is_done(&self) -> bool {
         matches!(self.state, GState::Finished)
-    }
-
-    /// The world every member of the group shares.
-    pub(crate) fn world(&self) -> &SharedWorld {
-        &self.world
     }
 
     /// The finished report, if the run is over.
@@ -802,7 +798,7 @@ impl GroupTask {
                     standby.fail_env();
                     slot.state = SlotState::Dead;
                     slot.report = None;
-                    slot.dead_deadline = Some(self.rt.cfg().detector.monitor(now_p).deadline());
+                    slot.dead_deadline = Some(self.jvm.cfg.detector.monitor(now_p).deadline());
                     let member = slot.member;
                     self.standby_killed_at = Some(now_p);
                     killed_now = Some(member);
@@ -838,7 +834,7 @@ impl GroupTask {
                     .iter()
                     .position(|s| matches!(s.state, SlotState::Dead) && s.dead_deadline.is_none());
                 if let Some(idx) = dead {
-                    let fresh = self.rt.make_channel();
+                    let fresh = self.jvm.make_channel();
                     if st.primary.begin_state_transfer(idx, fresh)? {
                         let base = st.primary.snapshot_epoch();
                         let slot = &mut st.slots[idx];
@@ -859,7 +855,7 @@ impl GroupTask {
             // Fan-in: deliver each link's verified arrivals to its slot.
             for idx in 0..st.slots.len() {
                 let ready = st.primary.recv_ready(idx, now_p)?;
-                if let Some(at) = deliver_slot(&self.rt, &self.world, &mut st.slots[idx], ready)? {
+                if let Some(at) = deliver_slot(&self.jvm, &self.world, &mut st.slots[idx], ready)? {
                     let member = st.slots[idx].member;
                     self.reintegrated.push(at);
                     reintegrated_now = Some((at, member));
@@ -963,7 +959,7 @@ impl GroupTask {
         for (idx, link) in links.iter_mut().enumerate() {
             let drained = link.drain();
             if let Some(slot) = slots.get_mut(idx) {
-                if let Some(at) = deliver_slot(&self.rt, &self.world, slot, drained)? {
+                if let Some(at) = deliver_slot(&self.jvm, &self.world, slot, drained)? {
                     let m = slot.member;
                     self.reintegrated.push(at);
                     self.note(at, format!("standby m{m} reintegrated during takeover"));
@@ -1098,7 +1094,7 @@ impl GroupTask {
         // demotion.
         self.note(detection_at, format!("m{} promoted (reign {})", slot.member, reign + 1));
         let next_fault = self.cfg.kills.get(reign + 1).copied().unwrap_or(FaultPlan::None);
-        let mut np = Box::new((*b).promote(&self.rt, next_fault, slots.len())?);
+        let mut np = Box::new((*b).promote(&self.jvm, next_fault, slots.len())?);
         {
             let core = core_of(&mut np)?;
             core.set_ack_policy(self.cfg.ack_policy);
@@ -1111,7 +1107,7 @@ impl GroupTask {
             member,
             rank,
             state: SlotState::Dead,
-            monitor: self.rt.cfg().detector.monitor(detection_at),
+            monitor: self.jvm.cfg.detector.monitor(detection_at),
             assembler: SnapshotAssembler::new(),
             ack_base: 0,
             report: None,

@@ -84,13 +84,13 @@ pub use group::{
     FailoverRecord, GroupConfig, GroupEvent, GroupMoment, GroupReport, GroupTask, ReignStats,
     StandbyEnd,
 };
-pub use pair::{PairEvent, PairTask};
+pub use pair::{CheckpointPlan, CheckpointReport};
 pub use parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};
 pub use primary::{
     AckPolicy, IntervalPrimary, LockSyncPrimary, LogChannel, PrimaryCore, ReliableLink, SendWindow,
     TsPrimary,
 };
 pub use records::{LoggedResult, Record, WireValue};
-pub use runtime::{CheckpointPlan, CheckpointReport, LagBudget, Replica, ReplicaRuntime, Role};
+pub use runtime::{LagBudget, Replica};
 pub use se::{SeRegistration, SeRegistry, SideEffectHandler, SocketHandler};
 pub use stats::ReplicationStats;

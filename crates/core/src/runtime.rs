@@ -1,17 +1,16 @@
 //! The replica runtime: primary and backup as [`Replica`] values on one
 //! simulated timeline.
 //!
-//! A [`Replica`] is a VM plus its replication coordinator, tagged with a
-//! [`Role`]; a [`ReplicaRuntime`] builds replicas over a shared world for
-//! the drivers that step them — [`crate::group::GroupTask`] for every hot
-//! configuration (a hot pair is a group with one standby),
-//! [`crate::pair::PairTask`] for the cold store-only modes:
+//! A [`Replica`] is a VM plus its replication coordinator. [`FtJvm`]'s
+//! builders here make replicas over a shared world for the code that
+//! steps them — [`crate::group::GroupTask`] for every hot configuration
+//! (a hot pair is a group with one standby), the straight-line cold runs
+//! of [`crate::pair`] for the store-only modes:
 //!
 //! * **Cold backup** ([`LagBudget::Cold`]) — the paper's baseline (§1): the
 //!   backup only stores the log during normal operation; on failure it
 //!   replays from the initial state. The primary runs to completion (or
-//!   crash) first, then the drained log is replayed — bit-for-bit the
-//!   pre-runtime behavior.
+//!   crash) first, then the drained log is replayed.
 //! * **Hot standby** ([`LagBudget::Hot`]) — the paper's "keeping the backup
 //!   updated would require only minor modifications": primary and backup
 //!   are *co-simulated*. The primary executes in bounded instruction
@@ -31,8 +30,7 @@
 
 use crate::backup::{BackupLog, IntervalBackup, LockSyncBackup, ResumeSeed, TsBackup};
 use crate::codec::build_snapshot_chunk;
-use crate::ftjvm::{FtConfig, LockVariant, PairReport, ReplicationMode};
-use crate::pair::PairTask;
+use crate::ftjvm::{FtJvm, LockVariant, ReplicationMode};
 use crate::primary::{
     decode_vt_map, IntervalPrimary, LockSyncPrimary, LogChannel, PrimaryCore, ReliableLink,
     TsPrimary, EXT_CODEC_CTX, EXT_COUNTERS, EXT_ND_SEQ, EXT_OUT_SEQ, EXT_SE_LATEST,
@@ -40,16 +38,14 @@ use crate::primary::{
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{
-    Category, ChannelStats, FaultPlan, HeartbeatMonitor, LossyChannel, SharedLink, SimChannel,
-    SimTime, WireReader,
+    Category, ChannelStats, FaultPlan, LossyChannel, SharedLink, SimChannel, SimTime, WireReader,
 };
 use ftjvm_vm::ThreadIdx;
 use ftjvm_vm::{
-    Coordinator, NativeRegistry, Program, RunReport, SharedWorld, SimEnv, SliceOutcome, Vm,
-    VmConfig, VmError, VtPath,
+    Coordinator, RunOutcome, RunReport, SharedWorld, SimEnv, SliceOutcome, Vm, VmConfig, VmError,
+    VtPath,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Instruction units the primary executes per co-simulation slice. Small
 /// enough that flushed frames reach the hot standby with fine granularity,
@@ -77,21 +73,8 @@ impl std::fmt::Display for LagBudget {
     }
 }
 
-/// What a [`Replica`] is doing in the pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// The authority: executes the program and logs every
-    /// non-deterministic choice to its peer.
-    Primary,
-    /// The standby: consumes the log, ready to take over.
-    Backup {
-        /// Cold (store-only) or hot (streaming replay).
-        lag_budget: LagBudget,
-    },
-}
-
 /// The coordinator driving one replica's VM (private: which concrete
-/// coordinator a role maps to is the runtime's business).
+/// coordinator a replica runs is the runtime's business).
 enum ReplicaCoord {
     LockPrimary(LockSyncPrimary),
     IntervalPrimary(IntervalPrimary),
@@ -123,27 +106,21 @@ impl ReplicaCoord {
     }
 }
 
-/// One replica: a VM plus its replication coordinator, tagged with its
-/// [`Role`]. Created by [`ReplicaRuntime`]; stepped in bounded instruction
-/// slices so a co-simulation driver can interleave a pair.
+/// One replica: a VM plus its replication coordinator. Built by
+/// [`FtJvm`]; stepped in bounded instruction slices so a co-simulation
+/// driver can interleave a pair.
 pub struct Replica {
-    role: Role,
     vm: Vm,
     coord: ReplicaCoord,
 }
 
 impl std::fmt::Debug for Replica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Replica").field("role", &self.role).field("now", &self.now()).finish()
+        f.debug_struct("Replica").field("now", &self.now()).finish()
     }
 }
 
 impl Replica {
-    /// This replica's role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
     /// The replica's current simulated instant.
     pub fn now(&self) -> SimTime {
         self.vm.core().acct.now()
@@ -173,7 +150,7 @@ impl Replica {
     /// Returns an error for a malformed frame, or if called on a replica
     /// that is not a backup.
     pub fn feed_frame(&mut self, arrival: SimTime, frame: Bytes) -> Result<u32, VmError> {
-        let Replica { vm, coord, .. } = self;
+        let Replica { vm, coord } = self;
         let core = vm.core_mut();
         core.acct.wait_until(Category::Communication, arrival);
         match coord {
@@ -190,7 +167,7 @@ impl Replica {
     /// run past the log into the live phase.
     pub fn finish_stream(&mut self) {
         {
-            let Replica { vm, coord, .. } = &mut *self;
+            let Replica { vm, coord } = &mut *self;
             let core = vm.core_mut();
             match coord {
                 ReplicaCoord::LockBackup(c) => c.finish_stream(&mut core.env, &core.acct),
@@ -266,7 +243,7 @@ impl Replica {
         if !wants || !self.vm.quiescent() {
             return Ok(false);
         }
-        let Replica { vm, coord, .. } = self;
+        let Replica { vm, coord } = self;
         let ext = {
             let core = vm.core_mut();
             match coord {
@@ -312,7 +289,7 @@ impl Replica {
         /// Chunk payload size: small enough that loss retransmits stay
         /// cheap, large enough that a snapshot is a handful of frames.
         const CHUNK: usize = 4096;
-        let Replica { vm, coord, .. } = self;
+        let Replica { vm, coord } = self;
         let core = coord
             .primary_core_mut()
             .ok_or_else(|| VmError::Internal("snapshot transfer from a non-primary".into()))?;
@@ -471,7 +448,7 @@ impl Replica {
     /// called on a primary.
     pub(crate) fn promote(
         self,
-        rt: &ReplicaRuntime,
+        jvm: &FtJvm,
         fault: FaultPlan,
         extra_links: usize,
     ) -> Result<Replica, VmError> {
@@ -480,7 +457,7 @@ impl Replica {
             Interval,
             Ts,
         }
-        let Replica { vm, coord, .. } = self;
+        let Replica { vm, coord } = self;
         let (parts, kind) = match coord {
             ReplicaCoord::LockBackup(c) => (c.into_promotion_parts(), Kind::Lock),
             ReplicaCoord::IntervalBackup(c) => (c.into_promotion_parts(), Kind::Interval),
@@ -488,14 +465,15 @@ impl Replica {
             _ => return Err(VmError::Internal("promote on a primary replica".into())),
         };
         let parts = parts.map_err(|e| e.at(ThreadIdx(0)))?;
+        let cfg = &jvm.cfg;
         let mut core =
-            PrimaryCore::with_transport(rt.make_channel(), rt.cfg.vm.cost.clone(), fault, parts.se);
-        core.flush_threshold = rt.cfg.flush_threshold;
-        core.set_codec(rt.cfg.codec);
-        core.set_heartbeat_interval(rt.cfg.detector.interval());
-        core.set_checkpoint_interval(rt.cfg.checkpoint_interval);
+            PrimaryCore::with_transport(jvm.make_channel(), cfg.vm.cost.clone(), fault, parts.se);
+        core.flush_threshold = cfg.flush_threshold;
+        core.set_codec(cfg.codec);
+        core.set_heartbeat_interval(cfg.detector.interval());
+        core.set_checkpoint_interval(cfg.checkpoint_interval);
         core.seed_outputs(parts.next_output, parts.commit_samples);
-        core.enable_fanout((0..extra_links).map(|_| rt.make_channel()).collect());
+        core.enable_fanout((0..extra_links).map(|_| jvm.make_channel()).collect());
         // No standby is live until the driver re-recruits it: mark every
         // link dead and start degraded (uncovered outputs are counted).
         for idx in 0..core.link_count() {
@@ -514,44 +492,15 @@ impl Replica {
                 ReplicaCoord::TsPrimary(TsPrimary::resumed(core, last_br))
             }
         };
-        Ok(Replica { role: Role::Primary, vm, coord })
+        Ok(Replica { vm, coord })
     }
 }
 
-/// Builds and drives a replica pair over one simulated timeline.
-///
-/// Owns the program, natives, and configuration; each run builds fresh
-/// replicas over a fresh [`ftjvm_vm::World`]. [`FtJvm`](crate::FtJvm)'s
-/// `run_*` entry points build a [`PairTask`] or a
-/// [`GroupTask`](crate::group::GroupTask) from a clone of this type and
-/// step it to completion. Cloning is cheap (the program is
-/// behind an [`Arc`]); a clone that shares a [`SharedLink`] contends for
-/// the same trunk bandwidth.
-#[derive(Clone)]
-pub struct ReplicaRuntime {
-    program: Arc<Program>,
-    natives: NativeRegistry,
-    cfg: FtConfig,
-    shared: Option<(SharedLink, SimTime)>,
-}
-
-impl std::fmt::Debug for ReplicaRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaRuntime").field("cfg", &self.cfg).finish()
-    }
-}
-
-impl ReplicaRuntime {
-    /// Creates a runtime for `program` under `cfg`.
-    pub fn new(program: Arc<Program>, natives: NativeRegistry, cfg: FtConfig) -> Self {
-        ReplicaRuntime { program, natives, cfg, shared: None }
-    }
-
-    /// The runtime's configuration.
-    pub(crate) fn cfg(&self) -> &FtConfig {
-        &self.cfg
-    }
-
+/// The replica builders and the log-producing and log-replaying halves of
+/// a cold pair: every run builds fresh replicas over a fresh
+/// [`ftjvm_vm::World`] from the harness's program, natives and
+/// configuration.
+impl FtJvm {
     /// Routes this pair's replication traffic through a shared trunk:
     /// every frame sent on a perfect channel queues behind the trunk's
     /// other traffic (fleet-level contention). `offset` maps this pair's
@@ -562,32 +511,24 @@ impl ReplicaRuntime {
         self.shared = Some((link, offset));
     }
 
-    fn vm_config(&self, seed: u64) -> VmConfig {
+    /// The base VM configuration with scheduler seed `seed`.
+    pub(crate) fn vm_config(&self, seed: u64) -> VmConfig {
         VmConfig { sched_seed: seed, ..self.cfg.vm.clone() }
     }
 
-    fn primary_env(&self, world: &SharedWorld) -> SimEnv {
+    /// The primary's environment over `world`.
+    pub(crate) fn primary_env(&self, world: &SharedWorld) -> SimEnv {
         SimEnv::new("primary", world.clone(), self.cfg.primary_skew, self.cfg.primary_env_seed)
     }
 
-    fn backup_env(&self, world: &SharedWorld) -> SimEnv {
-        SimEnv::new("backup", world.clone(), self.cfg.backup_skew, self.cfg.backup_env_seed)
-    }
-
     /// Environment for the standby at `rank` in a replica group. Rank 0
-    /// keeps the pair's exact environment (name, skew, seed) so a group of
-    /// size 2 is byte-identical to the pair; higher ranks get their own
-    /// name and ND seed.
-    fn ranked_backup_env(&self, world: &SharedWorld, rank: u32) -> SimEnv {
-        if rank == 0 {
-            return self.backup_env(world);
-        }
-        SimEnv::new(
-            &format!("backup-r{rank}"),
-            world.clone(),
-            self.cfg.backup_skew,
-            self.cfg.backup_env_seed + rank as u64,
-        )
+    /// is the pair's backup (name `backup`, the configured skew and seed),
+    /// so a group of size 2 is byte-identical to the pair; higher ranks
+    /// get their own name and ND seed.
+    fn backup_env(&self, world: &SharedWorld, rank: u32) -> SimEnv {
+        let name = if rank == 0 { "backup".to_string() } else { format!("backup-r{rank}") };
+        let seed = self.cfg.backup_env_seed + rank as u64;
+        SimEnv::new(&name, world.clone(), self.cfg.backup_skew, seed)
     }
 
     fn ranked_backup_seed(&self, rank: u32) -> u64 {
@@ -643,7 +584,7 @@ impl ReplicaRuntime {
             }
             (ReplicationMode::ThreadSched, _) => ReplicaCoord::TsPrimary(TsPrimary::new(core)),
         };
-        Ok(Replica { role: Role::Primary, vm, coord })
+        Ok(Replica { vm, coord })
     }
 
     /// Builds a hot (streaming) backup replica whose log starts empty: the
@@ -656,7 +597,7 @@ impl ReplicaRuntime {
         let vm = Vm::new(
             self.program.clone(),
             self.natives.clone(),
-            self.ranked_backup_env(world, rank),
+            self.backup_env(world, rank),
             self.vm_config(self.ranked_backup_seed(rank)),
         )?;
         let cost = self.cfg.vm.cost.clone();
@@ -671,7 +612,7 @@ impl ReplicaRuntime {
                 ReplicaCoord::TsBackup(TsBackup::streaming(world.clone(), se, cost))
             }
         };
-        Ok(Replica { role: Role::Backup { lag_budget: LagBudget::Hot }, vm, coord })
+        Ok(Replica { vm, coord })
     }
 
     /// Builds a cold backup replica over a fully decoded log (the one
@@ -687,7 +628,7 @@ impl ReplicaRuntime {
     ) -> Result<Replica, VmError> {
         let mut se = (self.cfg.se_factory)();
         let log = BackupLog::decode(frames, &mut se)?;
-        let mut benv = self.backup_env(world);
+        let mut benv = self.backup_env(world, 0);
         // SE-handler `restore`: re-create the primary's volatile
         // environment state (open files at their recovered offsets).
         se.restore(&mut benv);
@@ -709,7 +650,7 @@ impl ReplicaRuntime {
                 ReplicaCoord::TsBackup(TsBackup::new(log, world.clone(), se, cost))
             }
         };
-        Ok(Replica { role: Role::Backup { lag_budget: LagBudget::Cold }, vm, coord })
+        Ok(Replica { vm, coord })
     }
 
     /// Builds a replacement hot standby from an epoch snapshot blob: the
@@ -803,7 +744,25 @@ impl ReplicaRuntime {
                 )?)
             }
         };
-        Ok(Replica { role: Role::Backup { lag_budget: LagBudget::Hot }, vm, coord })
+        Ok(Replica { vm, coord })
+    }
+
+    /// Runs the primary to completion or crash in one coarse `run_to_end`
+    /// and returns its report, its undrained channel, and its replication
+    /// statistics. A crashed primary's volatile environment state is lost
+    /// with its process (fail-stop); the external world survives.
+    pub(crate) fn run_primary(
+        &self,
+        world: &SharedWorld,
+        fault: FaultPlan,
+    ) -> Result<(RunReport, LogChannel, ReplicationStats), VmError> {
+        let mut primary = self.build_primary(world, fault)?;
+        let report = primary.run_to_end()?;
+        if report.outcome == RunOutcome::Stopped {
+            primary.fail_env();
+        }
+        let (channel, stats) = primary.into_primary_parts()?;
+        Ok((report, channel, stats))
     }
 
     /// Runs the primary to completion (or crash) and returns its report,
@@ -818,9 +777,7 @@ impl ReplicaRuntime {
         world: &SharedWorld,
         fault: FaultPlan,
     ) -> Result<(RunReport, Vec<Bytes>, ReplicationStats, ChannelStats), VmError> {
-        let mut primary = self.build_primary(world, fault)?;
-        let report = primary.run_to_end()?;
-        let (mut channel, stats) = primary.into_primary_parts()?;
+        let (report, mut channel, stats) = self.run_primary(world, fault)?;
         let frames = channel.drain().into_iter().map(|(_, frame)| frame).collect();
         // Stats after the drain: on a lossy link the takeover delivery
         // itself detects duplicates/corruption worth counting.
@@ -842,124 +799,4 @@ impl ReplicaRuntime {
         let report = backup.run_to_end()?;
         Ok((report, backup.backup_stats(), backup.recovery_completed_at()))
     }
-
-    /// Runs a hot pair — a replica group with one standby — under epoch
-    /// checkpointing, with optional backup-kill and re-integration per
-    /// `plan`.
-    ///
-    /// The primary cuts a checkpoint every `checkpoint_interval` flushes at
-    /// a quiescent boundary, the driver relays the backup's absorbed-epoch
-    /// count back as the ack, and the retained replay suffix truncates at
-    /// each cut. When the plan kills the backup, the primary's
-    /// reverse-heartbeat detector fires after the configured deadline and
-    /// the primary enters *degraded mode* (it stops sending to the dead
-    /// host, output commits stop waiting for acknowledgments, the gap is
-    /// counted in [`ReplicationStats::degraded_outputs`]). With
-    /// `reintegrate`, the primary then recruits a replacement standby by
-    /// force-cutting a fresh epoch and shipping the snapshot as chunk
-    /// frames over a fresh channel (lossy + reliability sublayer when the
-    /// net-fault plan is armed), after which the pair is 1-fault tolerant
-    /// again — a subsequent primary crash fails over to the replacement.
-    ///
-    /// # Errors
-    /// Returns an error when `checkpoint_interval` is unset, and
-    /// propagates fatal VM errors from any replica.
-    pub fn run_checkpointed(&self, plan: CheckpointPlan) -> Result<CheckpointReport, VmError> {
-        PairTask::checkpointed(self.clone(), plan)?.run_to_completion()?.into_checkpoint_report()
-    }
-
-    /// Runs the pair per the configured [`LagBudget`] and
-    /// [`FtConfig::checkpoint_interval`]:
-    ///
-    /// * **cold** — the primary runs to completion or crash; on a crash
-    ///   the drained log is replayed from the initial state (record
-    ///   counts, byte stats, and console output are the paper baseline's);
-    /// * **cold, checkpointed** — the backup durably stores the stream in
-    ///   an [`EpochStore`](crate::backup::EpochStore) (the primary ships
-    ///   snapshot chunks at every cut, since the durable store needs the
-    ///   snapshot itself before it may truncate) and drops the stored
-    ///   prefix at each epoch mark; recovery restores the latest snapshot
-    ///   and replays only the stored suffix;
-    /// * **hot** — primary and standby co-simulated on one timeline as a
-    ///   replica group of two ([`crate::group::GroupTask`]): on a crash,
-    ///   detection fires from missed heartbeats, the standby takes over
-    ///   mid-run, and only the unconsumed log suffix is replayed — so
-    ///   [`PairReport::failover_latency`] is measured, not derived. With a
-    ///   checkpoint interval the epoch protocol of
-    ///   [`run_checkpointed`](ReplicaRuntime::run_checkpointed) runs too.
-    ///
-    /// # Errors
-    /// Propagates fatal VM errors from either replica.
-    pub fn run_pair(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        let plan = CheckpointPlan { fault, ..CheckpointPlan::default() };
-        PairTask::from_config(self.clone(), plan)?.run_to_completion()?.into_pair_report()
-    }
-}
-
-/// What to do to a checkpointed pair while it runs
-/// ([`ReplicaRuntime::run_checkpointed`]).
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointPlan {
-    /// Primary-side fault injection, as in the other run drivers.
-    pub fault: FaultPlan,
-    /// Kill the backup once the primary has executed at least this many
-    /// instruction units (rounded up to a whole co-simulation slice).
-    pub kill_backup_after_units: Option<u64>,
-    /// After the primary detects the dead backup, recruit a replacement
-    /// standby from the latest snapshot plus the live suffix.
-    pub reintegrate: bool,
-}
-
-/// Outcome of [`ReplicaRuntime::run_checkpointed`].
-#[derive(Debug)]
-pub struct CheckpointReport {
-    /// The underlying pair report (primary plus the final survivor).
-    pub pair: PairReport,
-    /// Instant the backup was killed, when the plan killed one.
-    pub backup_killed_at: Option<SimTime>,
-    /// Instant the primary declared the backup dead and went degraded.
-    pub degraded_entered_at: Option<SimTime>,
-    /// Instant the replacement standby finished state transfer and went
-    /// live.
-    pub reintegrated_at: Option<SimTime>,
-    /// True once a replacement standby was live before the run ended.
-    pub reintegrated: bool,
-}
-
-impl CheckpointReport {
-    /// Kill-to-live re-integration latency, when both endpoints exist.
-    pub fn reintegration_latency(&self) -> Option<SimTime> {
-        match (self.backup_killed_at, self.reintegrated_at) {
-            (Some(k), Some(r)) if r > k => Some(r - k),
-            (Some(_), Some(_)) => Some(SimTime::ZERO),
-            _ => None,
-        }
-    }
-
-    /// Length of the degraded window (detector fired → replacement live),
-    /// when the run went degraded. Open-ended windows (never re-armed)
-    /// return `None`.
-    pub fn degraded_window(&self) -> Option<SimTime> {
-        match (self.degraded_entered_at, self.reintegrated_at) {
-            (Some(d), Some(r)) if r > d => Some(r - d),
-            (Some(_), Some(_)) => Some(SimTime::ZERO),
-            _ => None,
-        }
-    }
-}
-
-/// Replays heartbeat arrivals from a drained channel into `monitor` and
-/// returns the resulting detection deadline. Heartbeat frames are
-/// self-contained fixed-codec frames, so they decode independently of the
-/// replay stream's codec state.
-pub(crate) fn observe_heartbeats(
-    monitor: &mut HeartbeatMonitor,
-    drained: &[(SimTime, Bytes)],
-) -> SimTime {
-    for (arrival, frame) in drained {
-        if crate::codec::frame_is_heartbeat(frame) {
-            monitor.observe(*arrival);
-        }
-    }
-    monitor.deadline()
 }

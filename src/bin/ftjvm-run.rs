@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release --bin ftjvm-run -- db --mode lock --crash-at 500000
 //! cargo run --release --bin ftjvm-run -- mtrt --mode ts
-//! cargo run --release --bin ftjvm-run -- jack --mode lock --variant intervals --warm
+//! cargo run --release --bin ftjvm-run -- jack --mode lock --variant intervals
 //! cargo run --release --bin ftjvm-run -- compress --baseline
 //! ```
 
@@ -38,8 +38,6 @@ fn usage() -> ! {
            --backup cold|hot     cold: store the log, replay at failover (default);\n\
                                  hot: co-simulated standby streams the log and\n\
                                  replays only the unconsumed suffix at failover\n\
-           --warm                account the backup as warm (legacy: failover\n\
-                                 collapses to detection time)\n\
            --checkpoint-interval <n>  cut an epoch snapshot every n flushes:\n\
                                  the acked prefix is truncated on both sides,\n\
                                  bounding log memory to one epoch\n\
@@ -400,7 +398,6 @@ fn main() {
                     _ => usage(),
                 };
             }
-            "--warm" => cfg.warm_backup = true,
             "--checkpoint-interval" => {
                 i += 1;
                 let n = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
@@ -618,25 +615,33 @@ fn main() {
             c.nacks,
         );
     }
-    if report.crashed {
-        println!("\nprimary CRASHED; {} backup took over:", cfg.lag_budget);
-        println!("  detection latency:      {}", report.detection_latency);
-        let replay_label = match cfg.lag_budget {
-            LagBudget::Cold => "full-log replay time: ",
-            LagBudget::Hot => "suffix replay time:   ",
-        };
-        println!("  {replay_label}  {}", report.recovery_replay_time);
-        println!("  total failover latency: {}", report.failover_latency);
-        let b = report.backup.as_ref().expect("backup ran");
-        println!("  backup total:           {}", b.acct.total());
-        report
-            .check_no_duplicate_outputs()
-            .unwrap_or_else(|id| fail("exactly-once violated", &format!("output {id} duplicated")));
-        println!("  exactly-once output:    ok");
-    } else if matches!(cfg.lag_budget, LagBudget::Hot) {
-        let b = report.backup.as_ref().expect("hot standby ran");
-        println!("\nhot standby streamed the whole log (no crash):");
-        println!("  standby total:          {}", b.acct.total());
+    // A standby killed without a replacement leaves a hot pair with no
+    // backup at run end; a crash then is a second fault.
+    let lost = report.crashed && report.backup.is_none();
+    match (&report.backup, report.crashed) {
+        (Some(b), true) => {
+            println!("\nprimary CRASHED; {} backup took over:", cfg.lag_budget);
+            println!("  detection latency:      {}", report.detection_latency);
+            let replay_label = match cfg.lag_budget {
+                LagBudget::Cold => "full-log replay time: ",
+                LagBudget::Hot => "suffix replay time:   ",
+            };
+            println!("  {replay_label}  {}", report.recovery_replay_time);
+            println!("  total failover latency: {}", report.failover_latency);
+            println!("  backup total:           {}", b.acct.total());
+            println!("  exactly-once output:    ok");
+        }
+        (None, true) => println!(
+            "\npair lost: no live standby at the crash (second fault, outside the 1-fault model)"
+        ),
+        (Some(b), false) if cfg.lag_budget == LagBudget::Hot => {
+            println!("\nhot standby streamed the whole log (no crash):");
+            println!("  standby total:          {}", b.acct.total());
+        }
+        (None, false) if cfg.lag_budget == LagBudget::Hot => {
+            println!("\nhot standby dead at run end (no crash): the primary finished alone");
+        }
+        _ => {}
     }
     if let Some((killed, degraded, live, reintegrated, latency)) = ckpt_meta {
         println!("\nbackup-failure timeline:");
@@ -661,5 +666,8 @@ fn main() {
     }
     if report.console().len() > 12 {
         println!("  … {} more", report.console().len() - 12);
+    }
+    if lost {
+        std::process::exit(1);
     }
 }

@@ -78,7 +78,7 @@ pub mod workloads {
 
 pub use ftjvm_core::{
     AckPolicy, CheckpointPlan, CheckpointReport, FtConfig, FtJvm, GroupConfig, GroupReport,
-    GroupTask, LagBudget, LockVariant, NetFaultPlan, PairReport, Replica, ReplicaRuntime,
-    ReplicationMode, Role, SeRegistry, SideEffectHandler, WireCodec,
+    GroupTask, LagBudget, LockVariant, NetFaultPlan, PairReport, Replica, ReplicationMode,
+    SeRegistry, SideEffectHandler, WireCodec,
 };
 pub use ftjvm_vm::{NativeRegistry, Program, VmConfig, VmError};

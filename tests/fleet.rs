@@ -6,8 +6,7 @@ use ftjvm::netsim::SimTime;
 use ftjvm::replication::fleet::{
     journal_program, run_fleet, split_seed, FleetConfig, PairPlan, RouterMode,
 };
-use ftjvm::replication::ReplicaRuntime;
-use ftjvm::NativeRegistry;
+use ftjvm::{FtJvm, NativeRegistry};
 
 /// A small fleet with every fault class armed: independent crashes,
 /// independent backup kills, and a correlated rack partition. Every pair
@@ -55,8 +54,8 @@ fn pair_is_reproducible_standalone_from_seed_and_id() {
     for outcome in &report.outcomes {
         let plan = PairPlan::derive(&cfg, outcome.pair_id);
         let program = journal_program(plan.requests as i64).expect("program builds");
-        let rt = ReplicaRuntime::new(program, natives.clone(), plan.ft_config(&cfg));
-        let standalone = rt.run_checkpointed(plan.checkpoint_plan(&cfg)).expect("standalone run");
+        let jvm = FtJvm::with_natives(program, natives.clone(), plan.ft_config(&cfg));
+        let standalone = jvm.run_checkpointed(plan.checkpoint_plan(&cfg)).expect("standalone run");
         assert_eq!(standalone.pair.crashed, outcome.crashed, "pair {}", outcome.pair_id);
         assert_eq!(
             standalone.degraded_entered_at.is_some(),

@@ -27,7 +27,6 @@ fn primary_artifacts(w: &Workload, cfg: FtConfig) -> (Vec<Vec<u8>>, Vec<String>)
     let harness = FtJvm::new(w.program.clone(), cfg);
     let world = World::shared();
     let (_, frames, _, _) = harness
-        .runtime()
         .run_primary_to_log(&world, FaultPlan::None)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let frames = frames.iter().map(|f| f.to_vec()).collect();
@@ -79,7 +78,6 @@ fn logged_records(w: &Workload, cfg: FtConfig) -> (Vec<Record>, Vec<String>) {
     let harness = FtJvm::new(w.program.clone(), cfg);
     let world = World::shared();
     let (_, frames, _, _) = harness
-        .runtime()
         .run_primary_to_log(&world, FaultPlan::None)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let texts = world.borrow().console_texts();

@@ -1,7 +1,7 @@
-//! Equivalence suite for the single-pair entry points: cold pairs (driven
-//! by `PairTask`) and hot pairs (a `GroupTask` of size 2 behind the same
-//! entry points) must stay **byte-identical** to the original monolithic
-//! loop drivers.
+//! Equivalence suite for the single-pair entry points: cold and
+//! cold-checkpointed pairs (straight-line runs on `FtJvm`) and hot pairs
+//! (a `GroupTask` of size 2 behind the same entry points) must stay
+//! **byte-identical** to the original monolithic loop drivers.
 //!
 //! The digests below were captured from the monolithic loop drivers
 //! immediately before the refactor (PR 6 behavior): a CRC over the
@@ -13,7 +13,9 @@
 
 use ftjvm::netsim::{FailureDetector, FaultPlan, SimTime, WireCodec};
 use ftjvm::workloads::{micro, Workload};
-use ftjvm::{CheckpointPlan, FtConfig, FtJvm, LagBudget, PairReport, ReplicationMode};
+use ftjvm::{
+    CheckpointPlan, FtConfig, FtJvm, LagBudget, NetFaultPlan, PairReport, ReplicationMode,
+};
 
 /// One pinned configuration's observable fingerprint.
 #[derive(Debug, PartialEq, Eq)]
@@ -149,6 +151,32 @@ fn generate_digests() {
     }
     let d = reintegration_digest();
     println!("reintegration: ({:#x}, {}, {}, {}, {}, {})", d.0, d.1, d.2, d.3, d.4, d.5);
+    for (table, pins) in [
+        ("COLD_CHECKPOINTED_PINNED", cold_checkpointed_pins()),
+        ("LOSSY_COLD_PINNED", lossy_cold_pins()),
+        ("BACKUP_REPLAY_PINNED", backup_replay_pins()),
+    ] {
+        println!("{table}:");
+        for (key, p) in pins {
+            let d = &p.digest;
+            println!(
+                "    pin!(\"{key}\", [{:#x}, {}, {}, {}, {}, {}, {}, {}, {}, {}], {:#x}, {:?}, {:?}),",
+                d.console_crc,
+                d.console_lines,
+                d.messages_logged,
+                d.bytes_logged,
+                d.flushes,
+                d.heartbeats,
+                d.crashed,
+                d.detection_ns,
+                d.replay_ns,
+                d.failover_ns,
+                p.channel_crc,
+                p.peak_backup_pending,
+                p.backup_total_ns
+            );
+        }
+    }
 }
 
 #[test]
@@ -927,3 +955,190 @@ fn reintegration_case_pinned() {
 // so reaches the cuttable boundary and ships the snapshot sooner.
 const REINTEGRATION_PINNED: (u32, u64, u64, u64, u64, u64) =
     (0x105b2e99, 1, 11073168, 13073168, 17153639, 1390846);
+
+// --- Paths the workload matrix does not reach -------------------------------
+//
+// Cold pairs whose backup is a durable epoch store, cold pairs on a lossy
+// link, and the failure-free replay harness. Their fingerprint extends
+// `Digest` with what only these paths decide: the channel statistics (a
+// failure-free cold pair reads them before any drain, a crashed one after
+// the takeover drain, which on a lossy link counts duplicates of its
+// own), the store's peak depth folded into the backup's
+// `peak_backup_pending`, and the backup's total simulated time.
+
+/// A [`Digest`] plus the channel, store and backup-clock fields.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    digest: Digest,
+    /// CRC32C over `format!("{:?}", report.channel)`.
+    channel_crc: u32,
+    peak_backup_pending: Option<u64>,
+    backup_total_ns: Option<u64>,
+}
+
+fn pin(report: &PairReport) -> Pin {
+    Pin {
+        digest: digest(report),
+        channel_crc: ftjvm::replication::crc32c(format!("{:?}", report.channel).as_bytes()),
+        peak_backup_pending: report.backup_stats.as_ref().map(|s| s.peak_backup_pending),
+        backup_total_ns: report.backup.as_ref().map(|b| b.acct.total().as_nanos()),
+    }
+}
+
+macro_rules! pin {
+    ($key:expr, [$($d:expr),* $(,)?], $chan:expr, $peak:expr, $total:expr) => {
+        (
+            $key,
+            Pin {
+                digest: pinned!($key, $($d),*).1,
+                channel_crc: $chan,
+                peak_backup_pending: $peak,
+                backup_total_ns: $total,
+            },
+        )
+    };
+}
+
+fn check_pins(got: Vec<(String, Pin)>, pinned: &[(&str, Pin)]) {
+    assert_eq!(got.len(), pinned.len(), "pin table size");
+    for ((key, p), (pkey, pp)) in got.iter().zip(pinned) {
+        assert_eq!(key, pkey, "case order");
+        assert_eq!(p, pp, "{key}: diverged from the pinned driver");
+    }
+}
+
+const MODES: [ReplicationMode; 2] = [ReplicationMode::LockSync, ReplicationMode::ThreadSched];
+const CODECS: [WireCodec; 2] = [WireCodec::Fixed, WireCodec::Compact];
+
+/// Cold-checkpointed pairs (an epoch every 3 flushes) per mode × codec,
+/// crashed late — recovery restores the latest stored snapshot and replays
+/// the stored suffix — and early, before any epoch is cut, when recovery
+/// replays the whole stored log from the initial state.
+fn cold_checkpointed_pins() -> Vec<(String, Pin)> {
+    let w = micro::file_journal(200);
+    let mut out = Vec::new();
+    for mode in MODES {
+        for codec in CODECS {
+            for (branch, fault) in [
+                ("snapshot", FaultPlan::BeforeOutput(150)),
+                ("whole-log", FaultPlan::BeforeOutput(1)),
+            ] {
+                let key = format!("{mode}/{codec:?}/{branch}");
+                let cfg = FtConfig {
+                    mode,
+                    codec,
+                    lag_budget: LagBudget::Cold,
+                    checkpoint_interval: Some(3),
+                    fault,
+                    ..FtConfig::default()
+                };
+                let report = FtJvm::new(w.program.clone(), cfg)
+                    .run_with_failure()
+                    .unwrap_or_else(|e| panic!("{key}: {e}"));
+                report.check_no_duplicate_outputs().unwrap_or_else(|id| panic!("{key}: dup {id}"));
+                let s = &report.primary_stats;
+                if branch == "snapshot" {
+                    assert!(s.epochs_acked > 0, "{key}: no epoch stored before the crash");
+                } else {
+                    assert_eq!(s.epochs_cut, 0, "{key}: an epoch was cut before the crash");
+                }
+                out.push((key, pin(&report)));
+            }
+        }
+    }
+    out
+}
+
+/// Cold `db` pairs over a lossy, duplicating, corrupting, reordering link
+/// per mode, failure-free and crashed mid-run. The 20 ms reorder jitter
+/// keeps frames in flight at the crash, so the takeover drain delivers
+/// them and counts their duplicates and reorderings.
+fn lossy_cold_pins() -> Vec<(String, Pin)> {
+    let w = ftjvm::workloads::db::workload();
+    let net_fault = NetFaultPlan {
+        seed: 0x1055,
+        drop: 0.15,
+        duplicate: 0.2,
+        corrupt: 0.02,
+        reorder: 0.5,
+        jitter: SimTime::from_millis(20),
+        ..NetFaultPlan::default()
+    };
+    let mut out = Vec::new();
+    for mode in MODES {
+        for (label, fault) in
+            [("free", FaultPlan::None), ("crash", FaultPlan::AfterInstructions(300_000))]
+        {
+            let key = format!("{mode}/{label}");
+            let cfg = FtConfig { mode, fault, net_fault: net_fault.clone(), ..FtConfig::default() };
+            let report = FtJvm::new(w.program.clone(), cfg)
+                .run_replicated()
+                .unwrap_or_else(|e| panic!("{key}: {e}"));
+            assert_eq!(report.crashed, fault.is_armed(), "{key}: crash iff armed");
+            assert!(report.channel.drops > 0, "{key}: the link lost nothing");
+            report.check_no_duplicate_outputs().unwrap_or_else(|id| panic!("{key}: dup {id}"));
+            out.push((key, pin(&report)));
+        }
+    }
+    out
+}
+
+/// The failure-free replay harness per mode × codec.
+fn backup_replay_pins() -> Vec<(String, Pin)> {
+    let w = micro::file_journal(200);
+    let mut out = Vec::new();
+    for mode in MODES {
+        for codec in CODECS {
+            let key = format!("{mode}/{codec:?}");
+            let report =
+                FtJvm::new(w.program.clone(), FtConfig { mode, codec, ..FtConfig::default() })
+                    .run_backup_replay()
+                    .unwrap_or_else(|e| panic!("{key}: {e}"));
+            out.push((key, pin(&report)));
+        }
+    }
+    out
+}
+
+#[test]
+fn cold_checkpointed_pinned() {
+    check_pins(cold_checkpointed_pins(), COLD_CHECKPOINTED_PINNED);
+}
+
+#[test]
+fn lossy_cold_pinned() {
+    check_pins(lossy_cold_pins(), LOSSY_COLD_PINNED);
+}
+
+#[test]
+fn backup_replay_pinned() {
+    check_pins(backup_replay_pins(), BACKUP_REPLAY_PINNED);
+}
+
+#[rustfmt::skip]
+const COLD_CHECKPOINTED_PINNED: &[(&str, Pin)] = &[
+    pin!("lock-sync/Fixed/snapshot", [0x105b2e99, 1, 453, 17214, 155, 1, true, 115431490, 0, 115431490], 0xec3fb017, Some(153), Some(150281870)),
+    pin!("lock-sync/Fixed/whole-log", [0x105b2e99, 1, 6, 228, 2, 1, true, 149645310, 487300, 150132610], 0x389a0560, Some(6), Some(487300)),
+    pin!("lock-sync/Compact/snapshot", [0x105b2e99, 1, 453, 9086, 155, 1, true, 121510540, 0, 121510540], 0xea5f9b13, Some(52), Some(150281870)),
+    pin!("lock-sync/Compact/whole-log", [0x105b2e99, 1, 6, 138, 2, 1, true, 149725410, 487300, 150212710], 0x297d2ef3, Some(2), Some(487300)),
+    pin!("thread-sched/Fixed/snapshot", [0x105b2e99, 1, 453, 17214, 155, 1, true, 115351333, 86953, 115438286], 0xec3fb017, Some(153), Some(150294046)),
+    pin!("thread-sched/Fixed/whole-log", [0x105b2e99, 1, 6, 228, 2, 1, true, 149644249, 8904, 149653153], 0x389a0560, Some(6), Some(488364)),
+    pin!("thread-sched/Compact/snapshot", [0x105b2e99, 1, 453, 9086, 155, 1, true, 121430383, 86953, 121517336], 0xea5f9b13, Some(52), Some(150294046)),
+    pin!("thread-sched/Compact/whole-log", [0x105b2e99, 1, 6, 138, 2, 1, true, 149724349, 8904, 149733253], 0x297d2ef3, Some(2), Some(488364)),
+];
+
+#[rustfmt::skip]
+const LOSSY_COLD_PINNED: &[(&str, Pin)] = &[
+    pin!("lock-sync/free", [0x955d550f, 7, 61008, 2013495, 128, 40, false, 0, 0, 0], 0x6c0d5fa2, None, None),
+    pin!("lock-sync/crash", [0x955d550f, 7, 6652, 219193, 14, 5, true, 0, 430660, 430660], 0xca93197, Some(0), Some(406178360)),
+    pin!("thread-sched/free", [0x955d550f, 7, 104, 4055, 7, 14, false, 0, 0, 0], 0x3d816227, None, None),
+    pin!("thread-sched/crash", [0x955d550f, 7, 12, 465, 1, 2, true, 100519785, 350639, 100870424], 0x9990d244, Some(0), Some(406175799)),
+];
+
+#[rustfmt::skip]
+const BACKUP_REPLAY_PINNED: &[(&str, Pin)] = &[
+    pin!("lock-sync/Fixed", [0x105b2e99, 1, 607, 23052, 202, 1, false, 0, 648100, 0], 0xb4a82596, Some(0), Some(648100)),
+    pin!("lock-sync/Compact", [0x105b2e99, 1, 607, 12172, 202, 1, false, 0, 648100, 0], 0x785f80f, Some(0), Some(648100)),
+    pin!("thread-sched/Fixed", [0x105b2e99, 1, 607, 23052, 202, 1, false, 0, 755082, 0], 0xb4a82596, Some(0), Some(755242)),
+    pin!("thread-sched/Compact", [0x105b2e99, 1, 607, 12172, 202, 1, false, 0, 755082, 0], 0x785f80f, Some(0), Some(755242)),
+];
