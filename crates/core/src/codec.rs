@@ -578,6 +578,20 @@ impl RecordDecoder {
     }
 }
 
+/// Records [`RecordDecoder::decode_frame`] appends for `frame`: none for a
+/// control frame, one for a fixed frame, and a batch's declared count. The
+/// count is capped at the frame's length (every compact record takes at
+/// least one byte), so a corrupt count cannot reserve more than that.
+fn records_in(frame: &Bytes) -> usize {
+    match frame.first() {
+        Some(&(EPOCH_TAG | SNAP_TAG | VOTE_TAG)) => 0,
+        Some(&BATCH_TAG) => WireReader::new(frame.slice(1..))
+            .get_uvarint()
+            .map_or(0, |n| n.min(frame.len() as u64) as usize),
+        _ => 1,
+    }
+}
+
 /// Decodes a whole captured log (mixed fixed and batch frames) into the
 /// flat record sequence the primary logged.
 ///
@@ -585,7 +599,11 @@ impl RecordDecoder {
 /// Returns [`WireError`] if any frame is malformed.
 pub fn decode_frames(frames: Vec<Bytes>) -> Result<Vec<Record>, WireError> {
     let mut dec = RecordDecoder::new();
-    let mut out = Vec::new();
+    // Sized once up front. Grown by doubling, the output would be copied
+    // at every step and briefly held twice, and whether the allocator
+    // could extend it in place (so the process's peak memory) would
+    // depend on the heap's layout at the time.
+    let mut out = Vec::with_capacity(frames.iter().map(records_in).sum());
     for frame in frames {
         dec.decode_frame(frame, &mut out)?;
     }
@@ -971,6 +989,28 @@ mod tests {
         assert_eq!(decoded.len(), records.len() + 2);
         assert_eq!(decoded[0], Record::Heartbeat { now_ns: 5 });
         assert_eq!(&decoded[1..=records.len()], &records[..]);
+    }
+
+    #[test]
+    fn decoded_log_is_sized_once() {
+        let records = sample_records();
+        let mut enc = RecordEncoder::new();
+        let bodies: Vec<Bytes> = records.iter().map(|r| enc.encode_body(r)).collect();
+        let frames = vec![
+            Record::Heartbeat { now_ns: 5 }.encode(),
+            build_batch_frame(&bodies[..4]),
+            build_epoch_frame(1, 2),
+            build_batch_frame(&bodies[4..]),
+        ];
+        let decoded = decode_frames(frames).unwrap();
+        assert_eq!(decoded.len(), records.len() + 1);
+        assert_eq!(decoded.capacity(), decoded.len(), "no slack, no regrowth");
+
+        // A corrupt count reserves at most the frame's length, then errors.
+        let mut w = WireWriter::new();
+        w.put_u8(BATCH_TAG);
+        w.put_uvarint(u64::MAX);
+        assert!(decode_frames(vec![w.finish()]).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use ftjvm_vm::{
     Coordinator, NativeDirective, ObjRef, StopReason, SwitchReason, ThreadObs, ThreadSnap, Value,
     VmError, VtPath,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// One unacknowledged sealed frame in the sender's sliding window.
 #[derive(Debug)]
@@ -48,10 +48,17 @@ struct Unacked {
 /// Sender-side sliding-window retransmission buffer: every sealed frame
 /// stays here until the receiver's cumulative ACK covers it; timeouts
 /// back off exponentially, NACKs trigger prompt retransmission.
+///
+/// Sequence numbers are issued consecutively and a cumulative ACK only
+/// ever releases a prefix, so the unacked frames are always the
+/// contiguous run `base..next_seq`, kept as a deque indexed by
+/// `seq - base`.
 #[derive(Debug)]
 pub struct SendWindow {
     next_seq: u64,
-    window: BTreeMap<u64, Unacked>,
+    /// Sequence number of `window[0]` (equals `next_seq` when empty).
+    base: u64,
+    window: VecDeque<Unacked>,
     rto_base: SimTime,
     rto_cap: SimTime,
     /// Minimum spacing between retransmissions of one frame (absorbs
@@ -59,10 +66,6 @@ pub struct SendWindow {
     min_spacing: SimTime,
     /// Frames retransmitted (timeout- or NACK-triggered).
     pub retransmits: u64,
-    /// Deepest the window ever got — with epoch checkpointing the
-    /// pessimistic ack waits drain it at every output commit, so this
-    /// stays bounded by one epoch's flushes.
-    pub peak_outstanding: u64,
     /// Instant the most recent cumulative ACK was processed.
     last_ack_at: SimTime,
 }
@@ -71,12 +74,12 @@ impl SendWindow {
     pub(crate) fn new(rto_base: SimTime) -> Self {
         SendWindow {
             next_seq: 0,
-            window: BTreeMap::new(),
+            base: 0,
+            window: VecDeque::new(),
             rto_base,
             rto_cap: SimTime::from_nanos(rto_base.as_nanos().saturating_mul(32)),
             min_spacing: SimTime::from_nanos(rto_base.as_nanos() / 4),
             retransmits: 0,
-            peak_outstanding: 0,
             last_ack_at: SimTime::ZERO,
         }
     }
@@ -84,19 +87,14 @@ impl SendWindow {
     /// Seals `payload` with the next sequence number and starts tracking
     /// it; returns the sealed frame to put on the wire.
     pub(crate) fn track(&mut self, now: SimTime, payload: &[u8]) -> Bytes {
-        let seq = self.next_seq;
+        let sealed = seal_frame(self.next_seq, payload);
         self.next_seq += 1;
-        let sealed = seal_frame(seq, payload);
-        self.window.insert(
-            seq,
-            Unacked {
-                sealed: sealed.clone(),
-                deadline: now + self.rto_base,
-                rto: self.rto_base,
-                last_sent: now,
-            },
-        );
-        self.peak_outstanding = self.peak_outstanding.max(self.window.len() as u64);
+        self.window.push_back(Unacked {
+            sealed: sealed.clone(),
+            deadline: now + self.rto_base,
+            rto: self.rto_base,
+            last_sent: now,
+        });
         sealed
     }
 
@@ -105,11 +103,14 @@ impl SendWindow {
     pub(crate) fn on_control(&mut self, at: SimTime, ctrl: Control, resend: &mut Vec<Bytes>) {
         match ctrl {
             Control::Ack { next } => {
-                self.window = self.window.split_off(&next);
+                while self.base < next && self.window.pop_front().is_some() {
+                    self.base += 1;
+                }
                 self.last_ack_at = self.last_ack_at.max(at);
             }
             Control::Nack { seq } => {
-                if let Some(u) = self.window.get_mut(&seq) {
+                let slot = seq.checked_sub(self.base).and_then(|i| usize::try_from(i).ok());
+                if let Some(u) = slot.and_then(|i| self.window.get_mut(i)) {
                     if at >= u.last_sent + self.min_spacing {
                         u.last_sent = at;
                         u.deadline = at + u.rto;
@@ -124,7 +125,7 @@ impl SendWindow {
     /// The earliest pending timeout, if any frame is unacknowledged.
     fn next_deadline(&self) -> Option<SimTime> {
         // Matches `expired`: only the head-of-line frame owns a timer.
-        self.window.values().next().map(|u| u.deadline)
+        self.window.front().map(|u| u.deadline)
     }
 
     /// Frames whose timeout fired at or before `now`; each has its RTO
@@ -137,7 +138,7 @@ impl SendWindow {
         // would collapse into go-back-N. Once the head is repaired the
         // cumulative ack clears the rest (or exposes the next true loss).
         let mut out = Vec::new();
-        if let Some(u) = self.window.values_mut().next() {
+        if let Some(u) = self.window.front_mut() {
             if u.deadline <= now {
                 u.rto = SimTime::from_nanos(u.rto.as_nanos().saturating_mul(2)).min(self.rto_cap);
                 u.last_sent = now;
@@ -1844,5 +1845,167 @@ mod tests {
         // the output body can run.
         assert!(matches!(core.stop(), Some(StopReason::Crash)));
         assert_eq!(core.stats.output_commit_records, 1);
+    }
+
+    // -- SendWindow against a sequence-keyed map model -----------------------
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// One unacked frame in the model: its payload and timer state.
+    #[derive(Debug)]
+    struct ModelFrame {
+        payload: Vec<u8>,
+        deadline: SimTime,
+        rto: SimTime,
+        last_sent: SimTime,
+    }
+
+    /// The sender's rules written directly over a `BTreeMap` keyed by
+    /// sequence number: a cumulative ACK drops every key below `next`, a
+    /// NACK resends the frame at `seq` if present and not resent within
+    /// `min_spacing`, and only the lowest key owns a timeout.
+    #[derive(Debug)]
+    struct ModelWindow {
+        next_seq: u64,
+        frames: BTreeMap<u64, ModelFrame>,
+        rto_base: SimTime,
+        retransmits: u64,
+        last_ack_at: SimTime,
+    }
+
+    impl ModelWindow {
+        fn rto_cap(&self) -> SimTime {
+            SimTime::from_nanos(self.rto_base.as_nanos() * 32)
+        }
+
+        fn min_spacing(&self) -> SimTime {
+            SimTime::from_nanos(self.rto_base.as_nanos() / 4)
+        }
+
+        fn track(&mut self, now: SimTime, payload: &[u8]) {
+            let f = ModelFrame {
+                payload: payload.to_vec(),
+                deadline: now + self.rto_base,
+                rto: self.rto_base,
+                last_sent: now,
+            };
+            self.frames.insert(self.next_seq, f);
+            self.next_seq += 1;
+        }
+
+        fn ack(&mut self, at: SimTime, next: u64) {
+            self.frames.retain(|&seq, _| seq >= next);
+            self.last_ack_at = self.last_ack_at.max(at);
+        }
+
+        fn nack(&mut self, at: SimTime, seq: u64) -> Vec<Bytes> {
+            let spacing = self.min_spacing();
+            let Some(f) = self.frames.get_mut(&seq) else { return Vec::new() };
+            if at < f.last_sent + spacing {
+                return Vec::new();
+            }
+            f.last_sent = at;
+            f.deadline = at + f.rto;
+            self.retransmits += 1;
+            vec![seal_frame(seq, &f.payload)]
+        }
+
+        fn expire(&mut self, now: SimTime) -> Vec<Bytes> {
+            let cap = self.rto_cap();
+            let Some((&seq, f)) = self.frames.iter_mut().next() else { return Vec::new() };
+            if f.deadline > now {
+                return Vec::new();
+            }
+            f.rto = SimTime::from_nanos(f.rto.as_nanos() * 2).min(cap);
+            f.last_sent = now;
+            f.deadline = now + f.rto;
+            self.retransmits += 1;
+            vec![seal_frame(seq, &f.payload)]
+        }
+
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.frames.values().next().map(|f| f.deadline)
+        }
+    }
+
+    /// Which sender event one step applies.
+    #[derive(Debug, Clone, Copy)]
+    enum WinOp {
+        Track,
+        Ack,
+        Nack,
+        Expire,
+    }
+
+    /// One step of the sender's event loop: `(op, dt, late, arg)`, times
+    /// in 5 us ticks so that NACKs land exactly on the 25 us spacing
+    /// boundary. `dt` advances the clock. Control messages are stamped up
+    /// to `late` before the current instant, as they carry their own
+    /// arrival time. `arg` is the payload length for `Track`, and for
+    /// `Ack`/`Nack` counts back from three past the next sequence number,
+    /// so stale ACKs, ACKs beyond the last tracked frame, and NACKs for
+    /// acked or never-sent frames all occur.
+    fn win_step() -> impl Strategy<Value = (WinOp, u64, u64, u64)> {
+        let op = prop_oneof![
+            Just(WinOp::Track),
+            Just(WinOp::Ack),
+            Just(WinOp::Nack),
+            Just(WinOp::Expire)
+        ];
+        // Steps range from sub-spacing NACK bursts to several capped RTOs
+        // (base 100 us, cap 3.2 ms).
+        let dt = prop_oneof![0u64..8, 0u64..1_600];
+        (op, dt, prop_oneof![0u64..6, 0u64..60], 0u64..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// `SendWindow` makes exactly the model's decisions: the same
+        /// frames resent in the same order, the same retransmit count,
+        /// window depth, head timer and last-ACK instant after every step.
+        #[test]
+        fn send_window_matches_map_model(steps in prop::collection::vec(win_step(), 0..160)) {
+            let rto_base = SimTime::from_micros(100);
+            let mut win = SendWindow::new(rto_base);
+            let mut model = ModelWindow {
+                next_seq: 0,
+                frames: BTreeMap::new(),
+                rto_base,
+                retransmits: 0,
+                last_ack_at: SimTime::ZERO,
+            };
+            let mut now = SimTime::ZERO;
+            for (i, &(op, dt, late, arg)) in steps.iter().enumerate() {
+                now += SimTime::from_micros(5 * dt);
+                let at = now.saturating_sub(SimTime::from_micros(5 * late));
+                let seq = (model.next_seq + 3).saturating_sub(arg);
+                let mut resend = Vec::new();
+                let (got, want) = match op {
+                    WinOp::Track => {
+                        let payload: Vec<u8> = (0..arg).map(|b| (b as usize + i) as u8).collect();
+                        let want = vec![seal_frame(model.next_seq, &payload)];
+                        model.track(now, &payload);
+                        (vec![win.track(now, &payload)], want)
+                    }
+                    WinOp::Ack => {
+                        win.on_control(at, Control::Ack { next: seq }, &mut resend);
+                        model.ack(at, seq);
+                        (resend, Vec::new())
+                    }
+                    WinOp::Nack => {
+                        win.on_control(at, Control::Nack { seq }, &mut resend);
+                        (resend, model.nack(at, seq))
+                    }
+                    WinOp::Expire => (win.expired(now), model.expire(now)),
+                };
+                prop_assert_eq!(got, want, "step {}: sent or resent frames", i);
+                prop_assert_eq!(win.retransmits, model.retransmits, "step {}: retransmits", i);
+                prop_assert_eq!(win.outstanding(), model.frames.len(), "step {}: outstanding", i);
+                prop_assert_eq!(win.next_deadline(), model.next_deadline(), "step {}: deadline", i);
+                prop_assert_eq!(win.last_ack_at, model.last_ack_at, "step {}: last ack", i);
+            }
+        }
     }
 }

@@ -4,7 +4,10 @@
 //! and the little-endian `Buf`/`BufMut` accessors.
 //!
 //! Semantics match the real crate for this subset (panics on out-of-range
-//! reads/slices, `split_to` advances the cursor, `freeze` is zero-copy).
+//! reads/slices, `split_to` advances the cursor). One cost differs:
+//! `freeze` and `Bytes::from(Vec<u8>)` move the bytes into a fresh
+//! `Arc<[u8]>`, which allocates and copies once, where the real crate
+//! reuses the vector's allocation.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -19,25 +22,30 @@ pub struct Bytes {
 
 impl Bytes {
     /// Empty buffer.
+    #[inline]
     pub fn new() -> Self {
         Bytes::from(Vec::new())
     }
 
     /// Buffer over a static slice (copied; the real crate borrows, but the
     /// observable behavior is identical for this workspace).
+    #[inline]
     pub fn from_static(bytes: &'static [u8]) -> Self {
         Bytes::from(bytes.to_vec())
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
     /// Sub-view sharing the same allocation. Panics if out of range.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
         let len = self.len();
         let begin = match range.start_bound() {
@@ -55,6 +63,7 @@ impl Bytes {
     }
 
     /// Splits off and returns the first `at` bytes, advancing `self`.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> Self {
         assert!(at <= self.len(), "split_to out of range");
         let head = Bytes { data: self.data.clone(), start: self.start, end: self.start + at };
@@ -62,6 +71,7 @@ impl Bytes {
         head
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -69,18 +79,21 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         let data: Arc<[u8]> = v.into();
         let end = data.len();
@@ -146,37 +159,45 @@ impl IntoIterator for Bytes {
     }
 }
 
-/// Growable byte buffer; `freeze` converts to `Bytes` without copying.
+/// Growable byte buffer; `freeze` converts to `Bytes` by copying the
+/// contents once into a new shared allocation.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct BytesMut {
     data: Vec<u8>,
 }
 
 impl BytesMut {
+    #[inline]
     pub fn new() -> Self {
         BytesMut { data: Vec::new() }
     }
 
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut { data: Vec::with_capacity(cap) }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.data.capacity()
     }
 
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
     }
 
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -184,6 +205,7 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
@@ -196,10 +218,12 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     fn advance(&mut self, cnt: usize);
 
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         assert!(self.remaining() >= 1, "buffer underflow");
         let v = self.chunk()[0];
@@ -207,6 +231,7 @@ pub trait Buf {
         v
     }
 
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         assert!(self.remaining() >= 4, "buffer underflow");
         let mut b = [0u8; 4];
@@ -215,6 +240,7 @@ pub trait Buf {
         u32::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         assert!(self.remaining() >= 8, "buffer underflow");
         let mut b = [0u8; 8];
@@ -223,18 +249,22 @@ pub trait Buf {
         u64::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_i64_le(&mut self) -> i64 {
         self.get_u64_le() as i64
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of range");
         self.start += cnt;
@@ -246,27 +276,33 @@ impl Buf for Bytes {
 pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
