@@ -835,8 +835,7 @@ impl GroupTask {
                     .position(|s| matches!(s.state, SlotState::Dead) && s.dead_deadline.is_none());
                 if let Some(idx) = dead {
                     let fresh = self.jvm.make_channel();
-                    if st.primary.begin_state_transfer(idx, fresh)? {
-                        let base = st.primary.snapshot_epoch();
+                    if let Some(base) = st.primary.begin_state_transfer(idx, fresh)? {
                         let slot = &mut st.slots[idx];
                         slot.ack_base = base;
                         slot.assembler = SnapshotAssembler::new();

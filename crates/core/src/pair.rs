@@ -170,11 +170,12 @@ impl FtJvm {
             store_frames(&mut store, &mut monitor, primary.recv_ready(0, now)?)?;
             primary.relay_epoch_ack(store.epochs_stored);
             match outcome {
-                // The durable store needs the snapshot itself before it
-                // may truncate, so every cut ships it.
+                // The durable store can outlive the primary and needs the
+                // snapshot itself before it may truncate, so every cut
+                // builds and ships it.
                 SliceOutcome::Budget => {
-                    if primary.try_cut_epoch()? {
-                        primary.ship_latest_snapshot(0)?;
+                    if let Some(blob) = primary.cut_epoch_blob(false)? {
+                        primary.ship_snapshot(0, &blob)?;
                     }
                 }
                 SliceOutcome::Paused => {

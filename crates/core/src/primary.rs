@@ -491,13 +491,12 @@ pub struct PrimaryCore {
     epoch: u64,
     /// `flushes` value at the last cut, to schedule the next one.
     flushes_at_cut: u64,
-    /// Record-bearing frames flushed since the last cut — the replay
-    /// suffix a replacement backup needs on top of the latest snapshot.
-    /// Truncated at every cut; empty unless checkpointing is enabled.
-    retained: Vec<Bytes>,
-    retained_bytes: usize,
-    /// The snapshot taken at the most recent cut, keyed by its epoch.
-    latest_snapshot: Option<(u64, Bytes)>,
+    /// Record-bearing frames (and their bytes) flushed since the last cut
+    /// — the log suffix the cut truncates. Counted, not kept: a joiner
+    /// is grounded on a fresh cut, so it never replays this suffix.
+    /// Zero unless checkpointing is enabled.
+    retained_frames: u64,
+    retained_bytes: u64,
     /// Latest side-effect-handler state payload per handler, captured so a
     /// cut can transplant volatile-state knowledge into the snapshot's
     /// extension section. Only maintained while checkpointing.
@@ -582,9 +581,8 @@ impl PrimaryCore {
             checkpoint_interval: None,
             epoch: 0,
             flushes_at_cut: 0,
-            retained: Vec::new(),
+            retained_frames: 0,
             retained_bytes: 0,
-            latest_snapshot: None,
             last_se: HashMap::new(),
             degraded: false,
             fanout: Vec::new(),
@@ -707,7 +705,7 @@ impl PrimaryCore {
 
     /// Replaces link `idx`'s transport (state-transfer re-integration of
     /// that standby), reviving the link and clearing its taint — the
-    /// replacement's state comes from the honest retained snapshot, not
+    /// replacement's state comes from an honest snapshot cut for it, not
     /// the flipped stream. Returns the old transport.
     pub fn swap_link(&mut self, idx: usize, new: LogChannel) -> LogChannel {
         if let Some(l) = self.link_live.get_mut(idx) {
@@ -892,7 +890,7 @@ impl PrimaryCore {
             WireCodec::Fixed => {
                 for frame in std::mem::take(&mut self.buffer) {
                     if retain {
-                        self.retain_frame(frame.clone());
+                        self.retain_frame(frame.len());
                     }
                     self.send_record_frame(frame, acct);
                 }
@@ -904,7 +902,7 @@ impl PrimaryCore {
                 // bodies didn't account for.
                 self.stats.bytes_logged += (frame.len() - self.buffered_bytes) as u64;
                 if retain {
-                    self.retain_frame(frame.clone());
+                    self.retain_frame(frame.len());
                 }
                 self.send_record_frame(frame, acct);
             }
@@ -1141,9 +1139,9 @@ impl PrimaryCore {
         }
         if self.degraded {
             // The backup is dead: there is nothing to wait for. The commit
-            // record still went out (and sits in the retained suffix for
-            // re-integration); the uncovered output is counted as the
-            // fault-tolerance gap this run accumulated.
+            // record still went out (a replacement starts from a later
+            // cut, which covers it); the uncovered output is counted as
+            // the fault-tolerance gap this run accumulated.
             self.stats.degraded_outputs += 1;
             self.stats.commit_samples.push((acct.now().as_nanos(), 0));
         } else {
@@ -1190,8 +1188,9 @@ impl PrimaryCore {
     /// replication-layer state the snapshot must carry — the compact
     /// encoder's delta context, the per-thread ND/output sequence maps,
     /// the global output/epoch counters, and the latest side-effect
-    /// payloads. The caller feeds the result to `Vm::snapshot` and hands
-    /// the blob back to [`PrimaryCore::commit_epoch`].
+    /// payloads. The caller feeds the result to `Vm::snapshot` (or, when
+    /// nothing ships the blob, `Vm::snapshot_len`) and hands its length
+    /// back to [`PrimaryCore::commit_epoch`].
     pub fn prepare_epoch_cut(&mut self, acct: &mut TimeAccount) -> Vec<(u8, Bytes)> {
         self.flush(acct);
         let mut counters = WireWriter::with_capacity(24);
@@ -1216,12 +1215,11 @@ impl PrimaryCore {
 
     /// Second half of an epoch cut: send the epoch mark, truncate the
     /// retained suffix (everything before the cut is now subsumed by the
-    /// snapshot), and charge the snapshot's serialization cost. Returns
-    /// the new epoch number.
-    pub fn commit_epoch(&mut self, blob: Bytes, acct: &mut TimeAccount) -> u64 {
-        let covered = self.retained.len() as u64;
+    /// snapshot), and charge the serialization cost of a `snapshot_len`
+    /// byte snapshot. Returns the new epoch number.
+    pub fn commit_epoch(&mut self, snapshot_len: usize, acct: &mut TimeAccount) -> u64 {
         self.epoch += 1;
-        let frame = build_epoch_frame(self.epoch, covered);
+        let frame = build_epoch_frame(self.epoch, self.retained_frames);
         self.broadcast(frame, acct);
         // Serializing the snapshot is primary CPU work, charged per byte
         // at the wire's marginal rate (it is a memory copy plus CRC, the
@@ -1229,27 +1227,15 @@ impl PrimaryCore {
         let per_byte = self.cost.net.per_byte.as_nanos();
         acct.charge(
             Category::Misc,
-            SimTime::from_nanos(per_byte.saturating_mul(blob.len() as u64)),
+            SimTime::from_nanos(per_byte.saturating_mul(snapshot_len as u64)),
         );
-        self.retained.clear();
+        self.retained_frames = 0;
         self.retained_bytes = 0;
         self.flushes_at_cut = self.flushes;
         self.stats.epochs_cut += 1;
         self.stats.epoch_cut_flushes.push(self.flushes);
-        self.stats.snapshot_bytes = blob.len() as u64;
-        self.latest_snapshot = Some((self.epoch, blob));
+        self.stats.snapshot_bytes = snapshot_len as u64;
         self.epoch
-    }
-
-    /// The snapshot taken at the most recent cut, with its epoch.
-    pub fn latest_snapshot(&self) -> Option<&(u64, Bytes)> {
-        self.latest_snapshot.as_ref()
-    }
-
-    /// Record-bearing frames flushed since the last cut — what a
-    /// replacement backup replays on top of the latest snapshot.
-    pub fn retained_frames(&self) -> &[Bytes] {
-        &self.retained
     }
 
     /// Relays the backup's epoch acknowledgment (driver-carried: the
@@ -1282,8 +1268,8 @@ impl PrimaryCore {
         self.swap_link(0, new)
     }
 
-    /// Sends one pre-built frame (snapshot chunk or retained suffix frame
-    /// during state transfer), charging the communication cost.
+    /// Sends one pre-built frame (a snapshot chunk during state transfer),
+    /// charging the communication cost.
     pub fn send_raw(&mut self, payload: Bytes, acct: &mut TimeAccount) {
         self.send_raw_on(0, payload, acct);
     }
@@ -1297,12 +1283,11 @@ impl PrimaryCore {
         acct.charge(Category::Communication, cost);
     }
 
-    fn retain_frame(&mut self, frame: Bytes) {
-        self.retained_bytes += frame.len();
-        self.retained.push(frame);
-        self.stats.peak_suffix_frames =
-            self.stats.peak_suffix_frames.max(self.retained.len() as u64);
-        self.stats.peak_suffix_bytes = self.stats.peak_suffix_bytes.max(self.retained_bytes as u64);
+    fn retain_frame(&mut self, len: usize) {
+        self.retained_frames += 1;
+        self.retained_bytes += len as u64;
+        self.stats.peak_suffix_frames = self.stats.peak_suffix_frames.max(self.retained_frames);
+        self.stats.peak_suffix_bytes = self.stats.peak_suffix_bytes.max(self.retained_bytes);
     }
 }
 

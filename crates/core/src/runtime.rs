@@ -42,8 +42,8 @@ use ftjvm_netsim::{
 };
 use ftjvm_vm::ThreadIdx;
 use ftjvm_vm::{
-    Coordinator, RunOutcome, RunReport, SharedWorld, SimEnv, SliceOutcome, Vm, VmConfig, VmError,
-    VtPath,
+    Coordinator, RunOutcome, RunReport, SharedWorld, SimEnv, SliceOutcome, SnapshotError, Vm,
+    VmConfig, VmError, VtPath,
 };
 use std::collections::HashMap;
 
@@ -51,6 +51,12 @@ use std::collections::HashMap;
 /// enough that flushed frames reach the hot standby with fine granularity,
 /// large enough that slicing overhead stays negligible.
 pub const SLICE_UNITS: u64 = 256;
+
+/// A snapshot refused at an epoch cut: a protocol bug, since the cut's
+/// quiescence gate should make it impossible.
+fn epoch_snapshot_error(e: SnapshotError) -> VmError {
+    VmError::Internal(format!("epoch snapshot: {e}"))
+}
 
 /// How far a backup is allowed to lag the primary's log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -225,67 +231,83 @@ impl Replica {
     /// at a quiescent, coordinator-ready boundary. Returns whether a cut
     /// happened.
     ///
+    /// Nothing reads this cut's blob — a joiner gets a fresh forced cut
+    /// at recruitment — so the snapshot is counted
+    /// ([`Vm::snapshot_len`]) and charged by that length, never built.
+    ///
     /// # Errors
     /// Propagates snapshot failures (a protocol bug: the quiescence gate
     /// should make them impossible).
     pub fn try_cut_epoch(&mut self) -> Result<bool, VmError> {
-        self.cut_epoch(false)
-    }
-
-    /// Epoch-cut worker. `force` cuts even before the interval elapses
-    /// (re-integration state transfer needs a fresh snapshot now), but
-    /// the quiescence and coordinator-readiness gates still apply.
-    fn cut_epoch(&mut self, force: bool) -> Result<bool, VmError> {
-        let wants = match self.coord.primary_core_mut() {
-            Some(core) => force || core.wants_epoch_cut(),
-            None => false,
-        };
-        if !wants || !self.vm.quiescent() {
-            return Ok(false);
-        }
-        let Replica { vm, coord } = self;
-        let ext = {
-            let core = vm.core_mut();
-            match coord {
-                ReplicaCoord::LockPrimary(c) => c.common.prepare_epoch_cut(&mut core.acct),
-                ReplicaCoord::IntervalPrimary(c) => {
-                    // Close the open acquisition interval so the flushed
-                    // prefix is self-contained.
-                    c.close_open(&mut core.acct);
-                    c.common.prepare_epoch_cut(&mut core.acct)
-                }
-                ReplicaCoord::TsPrimary(c) => {
-                    if !c.cut_ready() {
-                        return Ok(false);
-                    }
-                    c.common.prepare_epoch_cut(&mut core.acct)
-                }
-                _ => return Ok(false),
-            }
-        };
-        let blob =
-            vm.snapshot(&ext).map_err(|e| VmError::Internal(format!("epoch snapshot: {e}")))?;
-        let core = vm.core_mut();
-        match coord {
-            ReplicaCoord::LockPrimary(c) => c.common.commit_epoch(blob, &mut core.acct),
-            ReplicaCoord::IntervalPrimary(c) => c.common.commit_epoch(blob, &mut core.acct),
-            ReplicaCoord::TsPrimary(c) => c.common.commit_epoch(blob, &mut core.acct),
-            // The primary gate above makes this unreachable in practice;
-            // fail typed rather than aborting the whole process.
-            _ => return Err(VmError::Internal("epoch commit on a non-primary replica".into())),
-        };
+        let Some(ext) = self.prepare_cut(false) else { return Ok(false) };
+        let len = self.vm.snapshot_len(&ext).map_err(epoch_snapshot_error)?;
+        debug_assert_eq!(
+            Ok(len),
+            self.vm.snapshot(&ext).map(|blob| blob.len()),
+            "counted snapshot length"
+        );
+        self.commit_cut(len)?;
         Ok(true)
     }
 
-    /// Ships the latest epoch snapshot as chunk frames over fan-out link
-    /// `idx` only (re-integration recruits a single standby — its peers
-    /// must not see the chunks — and the cold durable store sits on link
-    /// 0). Returns the number of chunks sent.
+    /// Cuts an epoch like [`Replica::try_cut_epoch`] but builds the
+    /// snapshot and returns it, for a caller that ships it. `force` cuts
+    /// even before the interval elapses (re-integration state transfer
+    /// needs a fresh snapshot now); the quiescence and
+    /// coordinator-readiness gates still apply. `None`: no cut happened.
     ///
     /// # Errors
-    /// Returns an error when there is no snapshot to ship or the replica
-    /// is not a primary.
-    pub(crate) fn ship_latest_snapshot(&mut self, idx: usize) -> Result<u64, VmError> {
+    /// Propagates snapshot failures.
+    pub(crate) fn cut_epoch_blob(&mut self, force: bool) -> Result<Option<Bytes>, VmError> {
+        let Some(ext) = self.prepare_cut(force) else { return Ok(None) };
+        let blob = self.vm.snapshot(&ext).map_err(epoch_snapshot_error)?;
+        self.commit_cut(blob.len())?;
+        Ok(Some(blob))
+    }
+
+    /// First half of every cut: the interval (unless `force`d),
+    /// quiescence, and coordinator-readiness gates, then the primary's
+    /// flush and extension sections. `None` when no cut may happen here.
+    fn prepare_cut(&mut self, force: bool) -> Option<Vec<(u8, Bytes)>> {
+        let wants = self.coord.primary_core_mut().is_some_and(|c| force || c.wants_epoch_cut());
+        if !wants || !self.vm.quiescent() {
+            return None;
+        }
+        let acct = &mut self.vm.core_mut().acct;
+        match &mut self.coord {
+            ReplicaCoord::LockPrimary(c) => Some(c.common.prepare_epoch_cut(acct)),
+            ReplicaCoord::IntervalPrimary(c) => {
+                // Close the open acquisition interval so the flushed
+                // prefix is self-contained.
+                c.close_open(acct);
+                Some(c.common.prepare_epoch_cut(acct))
+            }
+            ReplicaCoord::TsPrimary(c) => c.cut_ready().then(|| c.common.prepare_epoch_cut(acct)),
+            _ => None,
+        }
+    }
+
+    /// Second half of every cut: the epoch mark, suffix truncation, and a
+    /// serialization charge for a `snapshot_len`-byte snapshot.
+    fn commit_cut(&mut self, snapshot_len: usize) -> Result<(), VmError> {
+        let Replica { vm, coord } = self;
+        // The gate in `prepare_cut` makes a non-primary unreachable here;
+        // fail typed rather than aborting the whole process.
+        let core = coord
+            .primary_core_mut()
+            .ok_or_else(|| VmError::Internal("epoch commit on a non-primary replica".into()))?;
+        core.commit_epoch(snapshot_len, &mut vm.core_mut().acct);
+        Ok(())
+    }
+
+    /// Ships `blob`, the snapshot of the epoch just cut, as chunk frames
+    /// over fan-out link `idx` only (re-integration recruits a single
+    /// standby — its peers must not see the chunks — and the cold durable
+    /// store sits on link 0). Returns the epoch shipped.
+    ///
+    /// # Errors
+    /// Returns an error when the replica is not a primary.
+    pub(crate) fn ship_snapshot(&mut self, idx: usize, blob: &[u8]) -> Result<u64, VmError> {
         /// Chunk payload size: small enough that loss retransmits stay
         /// cheap, large enough that a snapshot is a handful of frames.
         const CHUNK: usize = 4096;
@@ -293,48 +315,35 @@ impl Replica {
         let core = coord
             .primary_core_mut()
             .ok_or_else(|| VmError::Internal("snapshot transfer from a non-primary".into()))?;
-        let (epoch, blob) = core
-            .latest_snapshot()
-            .cloned()
-            .ok_or_else(|| VmError::Internal("no epoch snapshot to transfer".into()))?;
+        let epoch = core.epoch();
         let total = blob.len().div_ceil(CHUNK) as u64;
         let acct = &mut vm.core_mut().acct;
         for (i, piece) in blob.chunks(CHUNK).enumerate() {
             core.send_raw_on(idx, build_snapshot_chunk(epoch, i as u64, total, piece), acct);
         }
         core.stats.snapshot_chunks_sent += total;
-        Ok(total)
+        Ok(epoch)
     }
 
     /// The primary half of re-integration: force-cut an epoch at the
     /// current boundary, point fan-out link `idx` at `fresh` (the link
     /// toward the replacement at that rank slot), and ship the snapshot as
     /// chunk frames while the other links keep streaming undisturbed.
-    /// Returns false — leaving the link untouched — when the VM is not at
-    /// a cuttable boundary yet (the driver retries next slice).
+    /// Returns the epoch shipped, or `None` — leaving the link untouched —
+    /// when the VM is not at a cuttable boundary yet (the driver retries
+    /// next slice).
     pub(crate) fn begin_state_transfer(
         &mut self,
         idx: usize,
         fresh: LogChannel,
-    ) -> Result<bool, VmError> {
-        if !self.cut_epoch(true)? {
-            return Ok(false);
-        }
+    ) -> Result<Option<u64>, VmError> {
+        let Some(blob) = self.cut_epoch_blob(true)? else { return Ok(None) };
         if let Some(core) = self.coord.primary_core_mut() {
             // The old link pointed at the dead (or stale) standby; frames
             // still in flight on it are lost with that host.
             drop(core.swap_link(idx, fresh));
         }
-        self.ship_latest_snapshot(idx)?;
-        Ok(true)
-    }
-
-    /// The epoch the latest snapshot covers (0 before the first cut).
-    pub(crate) fn snapshot_epoch(&mut self) -> u64 {
-        self.coord
-            .primary_core_mut()
-            .and_then(|c| c.latest_snapshot().map(|(e, _)| *e))
-            .unwrap_or(0)
+        self.ship_snapshot(idx, &blob).map(Some)
     }
 
     /// Consumes a primary replica, returning its channel and final

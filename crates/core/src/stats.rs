@@ -66,7 +66,8 @@ pub struct ReplicationStats {
     pub peak_suffix_frames: u64,
     /// Peak retained-suffix size in bytes.
     pub peak_suffix_bytes: u64,
-    /// Bytes of the latest snapshot blob taken at an epoch cut.
+    /// Serialized length of the latest epoch cut's snapshot (counted, not
+    /// built, when nothing ships it).
     pub snapshot_bytes: u64,
     /// Snapshot chunks shipped (re-integration and cold checkpointing).
     pub snapshot_chunks_sent: u64,

@@ -24,6 +24,11 @@
 //! counters, codec contexts, and side-effect-handler state without this
 //! crate depending on them.
 //!
+//! [`Vm::snapshot_len`] runs the same encoder walk into a byte counter
+//! instead of a buffer: an epoch cut whose blob nobody will read (a hot
+//! primary's periodic cut) charges the exact serialized size without
+//! building it.
+//!
 //! # Quiescence
 //!
 //! A snapshot is refused ([`SnapshotError::Unsupported`]) while any thread
@@ -47,6 +52,7 @@ use crate::thread::{Frame, ThreadIdx, ThreadKind, ThreadState, VmThread, WaitRes
 use crate::value::{ObjRef, Value};
 use crate::vtid::VtPath;
 use bytes::Bytes;
+use ftjvm_netsim::wire::zigzag;
 use ftjvm_netsim::{crc32c, SimTime, TimeAccount, WireError, WireReader, WireWriter};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -110,11 +116,96 @@ impl From<WireError> for SnapshotError {
     }
 }
 
+/// Bytes ahead of the body: magic, version, CRC32C of the body.
+const HEADER_LEN: usize = 9;
+
+// ---------------------------------------------------------------------------
+// Encode sinks: one walk over the VM, two destinations.
+// ---------------------------------------------------------------------------
+
+/// Where [`encode_body`] puts the snapshot. A [`WireWriter`] builds the
+/// blob; a [`ByteCount`] only measures it, so a cut that ships nothing
+/// can charge the exact serialized size without serializing.
+trait Sink {
+    fn put_u8(&mut self, v: u8);
+    fn put_u64(&mut self, v: u64);
+    fn put_uvarint(&mut self, v: u64);
+    fn put_vbytes(&mut self, v: &[u8]);
+
+    // `#[inline]` matters here: without it every heap `Int` pays a call,
+    // and building a snapshot ran 7% slower than with inherent methods.
+    #[inline]
+    fn put_ivarint(&mut self, v: i64) {
+        self.put_uvarint(zigzag(v));
+    }
+
+    #[inline]
+    fn put_vstr(&mut self, v: &str) {
+        self.put_vbytes(v.as_bytes());
+    }
+}
+
+impl Sink for WireWriter {
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        WireWriter::put_u8(self, v);
+    }
+
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
+        WireWriter::put_u64(self, v);
+    }
+
+    #[inline]
+    fn put_uvarint(&mut self, v: u64) {
+        WireWriter::put_uvarint(self, v);
+    }
+
+    #[inline]
+    fn put_vbytes(&mut self, v: &[u8]) {
+        WireWriter::put_vbytes(self, v);
+    }
+}
+
+/// A sink that adds up what a [`WireWriter`] would have appended.
+#[derive(Default)]
+struct ByteCount(usize);
+
+/// Encoded length of an unsigned LEB128 varint: one byte per started
+/// group of 7 significant bits, at least one.
+#[inline]
+fn uvarint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn put_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+
+    #[inline]
+    fn put_uvarint(&mut self, v: u64) {
+        self.0 += uvarint_len(v);
+    }
+
+    #[inline]
+    fn put_vbytes(&mut self, v: &[u8]) {
+        self.0 += uvarint_len(v.len() as u64) + v.len();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Field-level codec helpers.
 // ---------------------------------------------------------------------------
 
-fn put_value(w: &mut WireWriter, v: &Value) {
+fn put_value(w: &mut impl Sink, v: &Value) {
     match v {
         Value::Null => w.put_u8(0),
         Value::Int(i) => {
@@ -142,7 +233,7 @@ fn get_value(r: &mut WireReader) -> Result<Value, SnapshotError> {
     })
 }
 
-fn put_values(w: &mut WireWriter, vs: &[Value]) {
+fn put_values(w: &mut impl Sink, vs: &[Value]) {
     w.put_uvarint(vs.len() as u64);
     for v in vs {
         put_value(w, v);
@@ -158,7 +249,7 @@ fn get_values(r: &mut WireReader) -> Result<Vec<Value>, SnapshotError> {
     Ok(out)
 }
 
-fn put_opt_u64(w: &mut WireWriter, v: Option<u64>) {
+fn put_opt_u64(w: &mut impl Sink, v: Option<u64>) {
     match v {
         None => w.put_u8(0),
         Some(x) => {
@@ -176,7 +267,7 @@ fn get_opt_u64(r: &mut WireReader) -> Result<Option<u64>, SnapshotError> {
     }
 }
 
-fn put_opt_thread(w: &mut WireWriter, t: Option<ThreadIdx>) {
+fn put_opt_thread(w: &mut impl Sink, t: Option<ThreadIdx>) {
     put_opt_u64(w, t.map(|t| t.0 as u64));
 }
 
@@ -184,7 +275,7 @@ fn get_opt_thread(r: &mut WireReader) -> Result<Option<ThreadIdx>, SnapshotError
     Ok(get_opt_u64(r)?.map(|v| ThreadIdx(v as u32)))
 }
 
-fn put_opt_obj(w: &mut WireWriter, o: Option<ObjRef>) {
+fn put_opt_obj(w: &mut impl Sink, o: Option<ObjRef>) {
     put_opt_u64(w, o.map(|r| r.index() as u64));
 }
 
@@ -192,7 +283,7 @@ fn get_opt_obj(r: &mut WireReader) -> Result<Option<ObjRef>, SnapshotError> {
     Ok(get_opt_u64(r)?.map(|v| ObjRef::from_index(v as usize)))
 }
 
-fn put_opt_vt(w: &mut WireWriter, vt: Option<&VtPath>) {
+fn put_opt_vt(w: &mut impl Sink, vt: Option<&VtPath>) {
     match vt {
         None => w.put_u8(0),
         Some(p) => {
@@ -255,7 +346,7 @@ fn switch_reason_from(tag: u8) -> Result<SwitchReason, SnapshotError> {
     })
 }
 
-fn put_state(w: &mut WireWriter, s: &ThreadState) {
+fn put_state(w: &mut impl Sink, s: &ThreadState) {
     match s {
         ThreadState::Runnable => w.put_u8(0),
         ThreadState::BlockedMonitor { obj } => {
@@ -296,7 +387,7 @@ fn get_state(r: &mut WireReader) -> Result<ThreadState, SnapshotError> {
     })
 }
 
-fn put_thread_snap(w: &mut WireWriter, s: &ThreadSnap) {
+fn put_thread_snap(w: &mut impl Sink, s: &ThreadSnap) {
     w.put_uvarint(s.t.0 as u64);
     put_opt_vt(w, s.vt.as_ref());
     w.put_uvarint(s.br_cnt);
@@ -326,9 +417,8 @@ fn get_thread_snap(r: &mut WireReader) -> Result<ThreadSnap, SnapshotError> {
 // Snapshot (encode).
 // ---------------------------------------------------------------------------
 
-fn encode_body(vm: &Vm, ext: &[(u8, Bytes)]) -> Bytes {
+fn encode_body<S: Sink>(vm: &Vm, ext: &[(u8, Bytes)], mut w: S) -> S {
     let core = vm.core();
-    let mut w = WireWriter::with_capacity(4096);
 
     // 1. Environment volatile state.
     let env = &core.env;
@@ -523,8 +613,7 @@ fn encode_body(vm: &Vm, ext: &[(u8, Bytes)]) -> Bytes {
         w.put_u8(*tag);
         w.put_vbytes(payload);
     }
-
-    w.finish()
+    w
 }
 
 // ---------------------------------------------------------------------------
@@ -583,6 +672,29 @@ impl Vm {
     /// Returns [`SnapshotError::Unsupported`] when the VM is not
     /// [quiescent](Vm::quiescent).
     pub fn snapshot(&self, ext: &[(u8, Bytes)]) -> Result<Bytes, SnapshotError> {
+        self.check_snapshottable()?;
+        let body = encode_body(self, ext, WireWriter::with_capacity(4096)).finish();
+        let mut w = WireWriter::with_capacity(HEADER_LEN + body.len());
+        w.put_raw(SNAPSHOT_MAGIC);
+        w.put_u8(SNAPSHOT_VERSION);
+        w.put_u32(crc32c(&body));
+        w.put_raw(&body);
+        Ok(w.finish())
+    }
+
+    /// The length [`Vm::snapshot`] would return for `ext`, counted by the
+    /// same encoder walk without writing a byte or computing the CRC.
+    ///
+    /// # Errors
+    /// Refuses exactly where [`Vm::snapshot`] refuses.
+    pub fn snapshot_len(&self, ext: &[(u8, Bytes)]) -> Result<usize, SnapshotError> {
+        self.check_snapshottable()?;
+        Ok(HEADER_LEN + encode_body(self, ext, ByteCount::default()).0)
+    }
+
+    /// The one refusal rule shared by [`Vm::snapshot`] and
+    /// [`Vm::snapshot_len`].
+    fn check_snapshottable(&self) -> Result<(), SnapshotError> {
         let core = self.core();
         if core.race.is_some() {
             return Err(SnapshotError::Unsupported(
@@ -595,13 +707,7 @@ impl Vm {
                 th.idx
             )));
         }
-        let body = encode_body(self, ext);
-        let mut w = WireWriter::with_capacity(body.len() + 9);
-        w.put_raw(SNAPSHOT_MAGIC);
-        w.put_u8(SNAPSHOT_VERSION);
-        w.put_u32(crc32c(&body));
-        w.put_raw(&body);
-        Ok(w.finish())
+        Ok(())
     }
 
     /// Rebuilds a VM from a snapshot blob, re-linking `program` and
@@ -629,7 +735,7 @@ impl Vm {
                 "cannot restore a snapshot into a race-detecting VM".into(),
             ));
         }
-        if blob.len() < 9 {
+        if blob.len() < HEADER_LEN {
             return Err(SnapshotError::Truncated);
         }
         if &blob[..4] != SNAPSHOT_MAGIC {
@@ -639,7 +745,7 @@ impl Vm {
             return Err(SnapshotError::BadVersion(blob[4]));
         }
         let stored = u32::from_le_bytes([blob[5], blob[6], blob[7], blob[8]]);
-        let body = &blob[9..];
+        let body = &blob[HEADER_LEN..];
         let computed = crc32c(body);
         if stored != computed {
             return Err(SnapshotError::Crc { stored, computed });
@@ -1010,6 +1116,20 @@ mod tests {
         assert_eq!(ext2, ext);
         let blob2 = vm2.snapshot(&ext).expect("re-snapshot");
         assert_eq!(blob, blob2, "snapshot is not a deterministic fixpoint");
+        assert_eq!(vm.snapshot_len(&ext), Ok(blob.len()));
+        assert_eq!(vm2.snapshot_len(&ext), Ok(blob.len()));
+    }
+
+    #[test]
+    fn uvarint_len_matches_the_writer_at_every_boundary() {
+        for k in 0..=9u32 {
+            let edge = 1u64 << (7 * k);
+            for v in [edge.saturating_sub(1), edge, edge + 1, u64::MAX] {
+                let mut w = WireWriter::new();
+                w.put_uvarint(v);
+                assert_eq!(uvarint_len(v), w.len(), "length of {v}");
+            }
+        }
     }
 
     #[test]
@@ -1083,5 +1203,6 @@ mod tests {
         let vm = Vm::new(program, NativeRegistry::with_builtins(), env, race_cfg).unwrap();
         assert!(!vm.quiescent());
         assert!(matches!(vm.snapshot(&[]), Err(SnapshotError::Unsupported(_))));
+        assert!(matches!(vm.snapshot_len(&[]), Err(SnapshotError::Unsupported(_))));
     }
 }

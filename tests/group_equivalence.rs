@@ -12,8 +12,14 @@
 //! then checks the other direction of "a pair is a group of two": for
 //! random `CheckpointPlan`s, `run_checkpointed(plan)` and `run_group`
 //! at size 2 with the same kills report the same run.
+//!
+//! A second table pins each reign's epoch cuts: how many, at which flush
+//! counts, the bytes the last snapshot was charged, the retained-suffix
+//! peaks, and the primary's per-category time account (which sums every
+//! cut's serialization charge). The first table cannot see a cut charged
+//! by the wrong length; this one can.
 
-use ftjvm::netsim::{FailureDetector, FaultPlan, SimTime, WireCodec};
+use ftjvm::netsim::{Category, FailureDetector, FaultPlan, SimTime, WireCodec};
 use ftjvm::workloads::micro;
 use ftjvm::{AckPolicy, FtConfig, FtJvm, GroupConfig, GroupReport, NetFaultPlan, ReplicationMode};
 
@@ -74,12 +80,36 @@ fn fingerprint(r: &GroupReport) -> String {
     )
 }
 
-fn run(key: &str, n: i64, cfg: FtConfig, gcfg: GroupConfig) -> (String, String) {
+/// Each reign's epoch cuts and primary time account, as one line.
+fn epoch_fingerprint(r: &GroupReport) -> String {
+    let reigns: Vec<String> = r
+        .reigns
+        .iter()
+        .map(|g| {
+            let s = &g.stats;
+            let acct: Vec<u64> =
+                Category::ALL.iter().map(|&c| g.report.acct.get(c).as_nanos()).collect();
+            format!(
+                "m{}:cuts={} at={:?} snap={} suffix={}/{} acct={:?}",
+                g.member,
+                s.epochs_cut,
+                s.epoch_cut_flushes,
+                s.snapshot_bytes,
+                s.peak_suffix_frames,
+                s.peak_suffix_bytes,
+                acct
+            )
+        })
+        .collect();
+    reigns.join(" ")
+}
+
+fn run(key: &str, n: i64, cfg: FtConfig, gcfg: GroupConfig) -> (String, GroupReport) {
     let w = micro::file_journal(n);
     let report =
         FtJvm::new(w.program, cfg).run_group(gcfg).unwrap_or_else(|e| panic!("{key}: {e}"));
     report.check_no_duplicate_outputs().unwrap_or_else(|id| panic!("{key}: dup output {id}"));
-    (key.to_string(), fingerprint(&report))
+    (key.to_string(), report)
 }
 
 const MODES: [ReplicationMode; 2] = [ReplicationMode::LockSync, ReplicationMode::ThreadSched];
@@ -95,6 +125,10 @@ fn commits(n: i64) -> u64 {
 }
 
 fn matrix() -> Vec<(String, String)> {
+    reports().iter().map(|(key, r)| (key.clone(), fingerprint(r))).collect()
+}
+
+fn reports() -> Vec<(String, GroupReport)> {
     let mut out = Vec::new();
     for mode in MODES {
         out.push(run(
@@ -227,6 +261,70 @@ const PINNED: &[(&str, &str)] = &[
     ("clean3/lock-sync/Compact", "crc=0x105b2e99 lines=1 completed=true survivor=1 failovers=1 promoted=[1] evictions=0 reigns=[m0:303/6082/103,m1:227/4555/78] det=[1878340] suffix=[0]"),
     ("clean3/thread-sched/Fixed", "crc=0x105b2e99 lines=1 completed=true survivor=1 failovers=1 promoted=[1] evictions=0 reigns=[m0:303/11514/103,m1:299/11335/102] det=[1538692] suffix=[378344]"),
     ("clean3/thread-sched/Compact", "crc=0x105b2e99 lines=1 completed=true survivor=1 failovers=1 promoted=[1] evictions=0 reigns=[m0:303/6082/103,m1:299/5995/102] det=[1877811] suffix=[378344]"),
+];
+
+/// The 13 scenarios plus the first `FleetConfig::default()` slot whose
+/// killed standby is re-integrated (a force-cut epoch shipped inside a
+/// pair), run standalone at size 2 without the trunk.
+fn epoch_matrix() -> Vec<(String, String)> {
+    use ftjvm::replication::fleet::{journal_program, FleetConfig, PairPlan};
+    let mut out: Vec<(String, String)> =
+        reports().iter().map(|(key, r)| (key.clone(), epoch_fingerprint(r))).collect();
+    let cfg = FleetConfig::default();
+    let (id, report) = (0..cfg.pairs)
+        .map(|id| PairPlan::derive(&cfg, id))
+        .filter(|p| p.kill_backup_after_units.is_some())
+        .map(|plan| {
+            let program = journal_program(plan.requests as i64).expect("journal program builds");
+            let report = FtJvm::new(program, plan.ft_config(&cfg))
+                .run_group(plan.group_config(&cfg, 2))
+                .unwrap_or_else(|e| panic!("fleet slot {}: {e}", plan.pair_id));
+            (plan.pair_id, report)
+        })
+        .find(|(_, r)| !r.reintegrated.is_empty())
+        .expect("the default fleet re-integrates some standby");
+    out.push((format!("fleet-slot/{id}"), epoch_fingerprint(&report)));
+    out
+}
+
+/// `cargo test --release --test group_equivalence generate_epoch_pins --
+/// --ignored --nocapture` regenerates [`EPOCH_PINNED`].
+#[test]
+#[ignore = "fingerprint generator, not a check"]
+fn generate_epoch_pins() {
+    for (key, fp) in epoch_matrix() {
+        println!("    (\"{key}\", \"{fp}\"),");
+    }
+}
+
+/// Epoch cuts are a pure function of the configuration: same instants,
+/// same charged snapshot length, same suffix peaks, same primary clock.
+#[test]
+fn group_epoch_cuts_pinned() {
+    let got = epoch_matrix();
+    assert_eq!(got.len(), EPOCH_PINNED.len(), "matrix size");
+    for ((key, fp), (pkey, pfp)) in got.iter().zip(EPOCH_PINNED) {
+        assert_eq!(key, pkey, "case order");
+        assert_eq!(fp, pfp, "{key}: epoch cuts diverged from the pinned run");
+    }
+}
+
+#[rustfmt::skip]
+const EPOCH_PINNED: &[(&str, &str)] = &[
+    ("free/lock-sync", "m0:cuts=3 at=[26, 78, 105] snap=4689 suffix=153/5814 acct=[293700, 16995780, 0, 0, 1241130, 14489750]"),
+    ("free/thread-sched", "m0:cuts=3 at=[26, 78, 105] snap=4689 suffix=153/5814 acct=[293700, 16995780, 0, 0, 1306218, 14489750]"),
+    ("chain5/lock-sync", "m0:cuts=2 at=[26, 78] snap=3572 suffix=153/5814 acct=[205440, 33327000, 0, 0, 704910, 113991274] m1:cuts=3 at=[27, 53, 80] snap=8352 suffix=78/2964 acct=[508480, 164842624, 0, 0, 2376140, 140485188] m2:cuts=3 at=[27, 53, 80] snap=13775 suffix=78/2964 acct=[811360, 323146572, 0, 0, 6637440, 154060689] m3:cuts=3 at=[27, 53, 62] snap=18330 suffix=78/2964 acct=[1015300, 484190291, 0, 0, 10041550, 26744956]"),
+    ("chain5/thread-sched", "m0:cuts=2 at=[26, 78] snap=3572 suffix=153/5814 acct=[205440, 34261200, 0, 0, 750147, 159583640] m1:cuts=3 at=[26, 53, 105] snap=9086 suffix=153/5814 acct=[507840, 211813827, 0, 0, 3676178, 229398409] m2:cuts=3 at=[26, 53, 105] snap=14591 suffix=153/5814 acct=[810240, 460606788, 0, 0, 6720794, 229065779] m3:cuts=3 at=[26, 53, 66] snap=18330 suffix=78/2964 acct=[1013700, 697852200, 0, 0, 10267655, 53560261]"),
+    ("chain4/compact", "m0:cuts=1 at=[26] snap=1400 suffix=51/3006 acct=[183840, 7587810, 0, 0, 358050, 26290138] m1:cuts=4 at=[27, 53, 80, 106] snap=9108 suffix=27/1573 acct=[544320, 44838478, 0, 0, 5036400, 70003027] m2:cuts=2 at=[27, 52] snap=13198 suffix=27/1573 acct=[726820, 117198014, 0, 0, 6121531, 1269960]"),
+    ("standby-kill", "m0:cuts=4 at=[26, 78, 105, 131] snap=5821 suffix=153/5814 acct=[363840, 21297690, 0, 0, 1852200, 18082250] m1:cuts=1 at=[26] snap=8862 suffix=77/2899 acct=[486660, 41114400, 0, 0, 1482620, 0]"),
+    ("byzantine/lock-sync", "m0:cuts=0 at=[] snap=0 suffix=6/228 acct=[6240, 378540, 0, 0, 6350, 120920] m1:cuts=3 at=[27, 53, 80] snap=4733 suffix=78/2964 acct=[293860, 11834340, 0, 0, 3091960, 5435910]"),
+    ("byzantine/thread-sched", "m0:cuts=0 at=[] snap=0 suffix=6/228 acct=[6240, 378540, 0, 0, 7414, 120920] m1:cuts=2 at=[52, 79] snap=4686 suffix=153/5814 acct=[293700, 7689835, 0, 0, 2913297, 2416600]"),
+    ("equivocation", "m0:cuts=3 at=[26, 78, 105] snap=4689 suffix=153/5814 acct=[293700, 18247410, 0, 0, 1241130, 15719650]"),
+    ("clean3/lock-sync/Fixed", "m0:cuts=2 at=[26, 78] snap=3572 suffix=153/5814 acct=[243840, 14031900, 0, 0, 753710, 12094750] m1:cuts=2 at=[27, 53] snap=7922 suffix=78/2964 acct=[486340, 33262830, 0, 0, 3174760, 2874000]"),
+    ("clean3/lock-sync/Compact", "m0:cuts=2 at=[26, 78] snap=3595 suffix=52/3062 acct=[243840, 5553000, 0, 0, 757760, 11784700] m1:cuts=2 at=[27, 53] snap=7938 suffix=27/1573 acct=[486340, 21422160, 0, 0, 3516230, 2797590]"),
+    ("clean3/thread-sched/Fixed", "m0:cuts=2 at=[26, 78] snap=3572 suffix=153/5814 acct=[243840, 14031900, 0, 0, 807414, 12094750] m1:cuts=2 at=[26, 53] snap=6888 suffix=146/5521 acct=[485700, 36749384, 0, 0, 3248540, 5748000]"),
+    ("clean3/thread-sched/Compact", "m0:cuts=2 at=[26, 78] snap=3595 suffix=52/3062 acct=[243840, 5553000, 0, 0, 811464, 11784700] m1:cuts=2 at=[26, 53] snap=6904 suffix=49/2920 acct=[485700, 22831334, 0, 0, 3590539, 5595990]"),
+    ("fleet-slot/29", "m0:cuts=2 at=[26, 78] snap=3593 suffix=52/3062 acct=[192900, 2513520, 0, 0, 694890, 10640000]"),
 ];
 
 // --- a pair is a group of two ---------------------------------------------

@@ -3,14 +3,20 @@
 //! SPEC JVM98 analogs, both wire codecs, and randomized cut cadences —
 //! and a corrupted snapshot blob must never restore (mirroring the
 //! mutation classes of the `ftjvm-fuzz-frames` corpus fuzzer: bit flips,
-//! truncation, extension, splice, and pure noise).
+//! truncation, extension, splice, and pure noise). The counted length a
+//! periodic cut charges must equal the built blob's length at every cut.
 
-use ftjvm::netsim::{FaultPlan, WireCodec};
+use bytes::Bytes;
+use ftjvm::netsim::{FaultPlan, SimChannel, WireCodec};
+use ftjvm::replication::{LockSyncPrimary, PrimaryCore};
+use ftjvm::vm::class::builtin;
 use ftjvm::vm::coordinator::NoopCoordinator;
+use ftjvm::vm::program::ProgramBuilder;
 use ftjvm::vm::{SimEnv, SliceOutcome, SnapshotError, Vm, World};
 use ftjvm::workloads::{self, Workload};
-use ftjvm::{FtConfig, FtJvm, LagBudget, NativeRegistry, ReplicationMode, VmConfig};
+use ftjvm::{FtConfig, FtJvm, LagBudget, NativeRegistry, Program, ReplicationMode, VmConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn run_report(w: &Workload, cfg: FtConfig) -> ftjvm::PairReport {
     let crashes = cfg.fault.is_armed();
@@ -110,6 +116,120 @@ proptest! {
         let crashed = run_report(&w, cfg);
         prop_assert!(crashed.crashed);
         prop_assert_eq!(crashed.console(), free.console());
+    }
+}
+
+// --- counted snapshot length -----------------------------------------------
+
+/// Every varint-length boundary an `Int` can hit: ±2^(7k) and its
+/// neighbours, the same around ±2^(7k-1) (where the zig-zag image
+/// crosses 2^(7k)), and the extremes.
+fn boundary_ints() -> Vec<i64> {
+    let mut out = vec![0, i64::MIN, i64::MAX];
+    for k in 1..=9 {
+        for edge in [1i128 << (7 * k), 1i128 << (7 * k - 1)] {
+            for v in [edge - 1, edge, edge + 1] {
+                out.extend([v, -v].into_iter().filter_map(|v| i64::try_from(v).ok()));
+            }
+        }
+    }
+    out
+}
+
+/// Parks every [`boundary_ints`] value in a heap array held by a static,
+/// then spins long enough to be cut mid-run.
+fn boundary_ints_program() -> Arc<Program> {
+    let ints = boundary_ints();
+    let mut b = ProgramBuilder::new();
+    let print_int = b.import_native("sys.print_int", 1, false);
+    let holder = b.add_class("snap/Edges", builtin::OBJECT, 0, 1);
+    let mut m = b.method("main", 1);
+    m.push_i(ints.len() as i64).new_array().store(1);
+    for (i, v) in ints.iter().enumerate() {
+        m.load(1).push_i(i as i64).push_i(*v).astore();
+    }
+    m.load(1).put_static(holder, 0);
+    let done = m.new_label();
+    m.push_i(3000).store(2);
+    let top = m.bind_new_label();
+    m.load(2).if_not(done);
+    m.inc(2, -1).goto(top);
+    m.bind(done);
+    m.load(1).alen().invoke_native(print_int, 1);
+    m.ret_void();
+    let entry = m.build(&mut b);
+    Arc::new(b.build(entry).expect("boundary program verifies"))
+}
+
+/// Extension payload lengths at every varint length-prefix boundary.
+const EXT_LENS: [usize; 10] = [0, 1, 127, 128, 129, 16_383, 16_384, 16_385, 1 << 21, (1 << 21) + 1];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// `Vm::snapshot_len` is `Vm::snapshot(..).len()` at quiescent cuts
+    /// of a live lock-sync primary: the six SPEC analogs and the
+    /// boundary-`Int` program, both codecs (the primary's own extension
+    /// sections differ by codec), plus extra sections whose lengths sit
+    /// on every varint length-prefix boundary.
+    #[test]
+    fn snapshot_len_matches_snapshot(
+        program_sel in 0usize..7,
+        compact in any::<bool>(),
+        first in 0u32..64,
+        stride in 1u32..48,
+        extra in prop::collection::vec(0usize..EXT_LENS.len(), 0..4),
+    ) {
+        let (name, program) = match workloads::spec_suite().into_iter().nth(program_sel) {
+            Some(w) => (w.name, w.program),
+            None => ("boundary-ints", boundary_ints_program()),
+        };
+        let codec = if compact { WireCodec::Compact } else { WireCodec::Fixed };
+        let cfg = FtConfig::default();
+        let mut core = PrimaryCore::new(
+            SimChannel::new(cfg.vm.cost.net.clone()),
+            cfg.vm.cost.clone(),
+            FaultPlan::None,
+            (cfg.se_factory)(),
+        );
+        core.set_codec(codec);
+        core.set_checkpoint_interval(Some(1));
+        let mut coord = LockSyncPrimary::new(core);
+        let env = SimEnv::new("p", World::shared(), ftjvm::netsim::SimTime::ZERO, 7);
+        let mut vm = Vm::new(program, NativeRegistry::with_builtins(), env, cfg.vm.clone())
+            .expect("vm builds");
+        let extra: Vec<(u8, Bytes)> = extra
+            .iter()
+            .enumerate()
+            .map(|(i, &sel)| (200 + i as u8, Bytes::from(vec![0xA5; EXT_LENS[sel]])))
+            .collect();
+
+        let (mut slices, mut cuts) = (0u32, 0u32);
+        let mut due = first;
+        while cuts < 8 {
+            let running = matches!(
+                vm.run_slice(&mut coord, 256).expect("runs"),
+                SliceOutcome::Budget | SliceOutcome::Paused
+            );
+            vm.poll_suspended(&mut coord);
+            slices += 1;
+            if (slices >= due && vm.quiescent()) || !running {
+                let mut ext = coord.common.prepare_epoch_cut(&mut vm.core_mut().acct);
+                ext.extend(extra.iter().cloned());
+                let blob = vm.snapshot(&ext).expect("quiescent VM snapshots");
+                prop_assert_eq!(
+                    vm.snapshot_len(&ext),
+                    Ok(blob.len()),
+                    "{} {} cut {} after {} slices", name, codec, cuts, slices
+                );
+                cuts += 1;
+                due = slices + stride;
+            }
+            if !running {
+                break;
+            }
+        }
+        prop_assert!(cuts > 0, "{}: no cut was checked", name);
     }
 }
 
