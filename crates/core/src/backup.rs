@@ -316,6 +316,9 @@ pub struct NativeReplay {
     /// Decoder state for streamed frames (the compact codec's delta
     /// context spans frame boundaries, so one decoder must see them all).
     decoder: RecordDecoder,
+    /// One streamed frame's decoded records on their way into the log,
+    /// kept so that each frame reuses the allocation.
+    scratch: Vec<Record>,
     /// Arrival index of the next streamed record.
     next_idx: usize,
     /// True once no further records can arrive: cold replay always, hot
@@ -362,6 +365,7 @@ impl NativeReplay {
             next_idx: log.total_records,
             log,
             decoder: RecordDecoder::new(),
+            scratch: Vec::new(),
             eof: true,
             nd_consumed: HashMap::new(),
             commit_consumed: HashMap::new(),
@@ -383,6 +387,7 @@ impl NativeReplay {
             cost,
             log: BackupLog::default(),
             decoder: RecordDecoder::new(),
+            scratch: Vec::new(),
             next_idx: 0,
             eof: false,
             nd_consumed: HashMap::new(),
@@ -420,6 +425,7 @@ impl NativeReplay {
             cost,
             log: BackupLog::default(),
             decoder,
+            scratch: Vec::new(),
             next_idx: 0,
             eof: false,
             nd_consumed: seed.nd_consumed,
@@ -456,13 +462,13 @@ impl NativeReplay {
             // path carries no records.
             return Ok(0);
         }
-        let mut scratch = Vec::new();
+        self.scratch.clear();
         let at = self.next_idx;
-        self.decoder.decode_frame(frame, &mut scratch).map_err(|e| {
+        self.decoder.decode_frame(frame, &mut self.scratch).map_err(|e| {
             VmError::Internal(format!("malformed streamed log record at index {at}: {e}"))
         })?;
         let mut heartbeats = 0u32;
-        for rec in scratch.drain(..) {
+        for rec in self.scratch.drain(..) {
             if matches!(rec, Record::Heartbeat { .. }) {
                 heartbeats += 1;
             }

@@ -877,15 +877,17 @@ pub use ftjvm_netsim::wire::crc32c;
 /// `tail = uvarint(seq) · payload`. The checksum covers the sequence
 /// number too, so a bit flip in the header cannot silently re-address a
 /// valid payload to the wrong log position.
+///
+/// The frame is written once, in one buffer: the tag, a zero checksum,
+/// the tail, and then the checksum over the tail in its slot.
 pub fn seal_frame(seq: u64, payload: &[u8]) -> Bytes {
-    let mut tail = WireWriter::with_capacity(payload.len() + 10);
-    tail.put_uvarint(seq);
-    tail.put_raw(payload);
-    let tail = tail.finish();
-    let mut w = WireWriter::with_capacity(tail.len() + 5);
+    let mut w = WireWriter::with_capacity(5 + 10 + payload.len());
     w.put_u8(SEAL_TAG);
-    w.put_u32(crc32c(&tail));
-    w.put_raw(&tail);
+    w.put_u32(0);
+    w.put_uvarint(seq);
+    w.put_raw(payload);
+    let crc = crc32c(&w.as_bytes()[5..]);
+    w.patch_u32(1, crc);
     w.finish()
 }
 
@@ -1249,6 +1251,61 @@ mod tests {
         // Empty payloads seal too (not used on the wire, but must not panic).
         let sealed = seal_frame(3, b"");
         assert_eq!(open_frame(&sealed).expect("empty"), (3, Bytes::new()));
+    }
+
+    /// The payloads the golden seal bytes cover: empty, one byte, and 300
+    /// bytes (longer than a one-byte varint's reach and than the CRC's
+    /// eight-byte stride).
+    fn golden_payloads() -> [Vec<u8>; 3] {
+        [Vec::new(), vec![0xA5], (0..300u32).map(|i| (i * 7 + 3) as u8).collect()]
+    }
+
+    /// `(seq, payload index, header hex)`: the sealed frame is the header
+    /// followed by the payload, byte for byte. This is the wire format; a
+    /// change to how the seal is built must not move one byte of it.
+    const GOLDEN_SEALS: [(u64, usize, &str); 15] = [
+        (0, 0, "f751537d5200"),
+        (0, 1, "f768d6db6600"),
+        (0, 2, "f771b4011300"),
+        (127, 0, "f7783bf67d7f"),
+        (127, 1, "f71208fb3e7f"),
+        (127, 2, "f773048e297f"),
+        (128, 0, "f7280ec9f88001"),
+        (128, 1, "f7f4ed5b6f8001"),
+        (128, 2, "f7079b044f8001"),
+        (1 << 35, 0, "f786d9aff5808080808001"),
+        (1 << 35, 1, "f7a2816561808080808001"),
+        (1 << 35, 2, "f79b4f1da5808080808001"),
+        (u64::MAX, 0, "f70adba206ffffffffffffffffff01"),
+        (u64::MAX, 1, "f7087823aeffffffffffffffffff01"),
+        (u64::MAX, 2, "f73ce02205ffffffffffffffffff01"),
+    ];
+
+    #[test]
+    fn seal_bytes_are_golden() {
+        let payloads = golden_payloads();
+        for (seq, p, head) in GOLDEN_SEALS {
+            let payload = &payloads[p];
+            let mut want: Vec<u8> = (0..head.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&head[i..i + 2], 16).expect("hex"))
+                .collect();
+            want.extend_from_slice(payload);
+            let sealed = seal_frame(seq, payload);
+            assert_eq!(sealed.as_ref(), &want[..], "seq {seq}, {}-byte payload", payload.len());
+            assert_eq!(open_frame(&sealed), Ok((seq, Bytes::from(payload.clone()))));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn open_inverts_seal(
+            seq in proptest::prelude::any::<u64>(),
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+        ) {
+            let sealed = seal_frame(seq, &payload);
+            proptest::prop_assert_eq!(open_frame(&sealed), Ok((seq, Bytes::from(payload))));
+        }
     }
 
     #[test]

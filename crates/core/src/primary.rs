@@ -128,26 +128,25 @@ impl SendWindow {
         self.window.front().map(|u| u.deadline)
     }
 
-    /// Frames whose timeout fired at or before `now`; each has its RTO
-    /// doubled (up to the cap) and its deadline pushed out.
-    fn expired(&mut self, now: SimTime) -> Vec<Bytes> {
+    /// Appends to `resend` the frames whose timeout fired at or before
+    /// `now`; each has its RTO doubled (up to the cap) and its deadline
+    /// pushed out.
+    fn expired(&mut self, now: SimTime, resend: &mut Vec<Bytes>) {
         // Only the lowest outstanding sequence can time out (as in TCP's
         // RTO of the first unacked segment). Later frames are often
         // already buffered at the receiver behind a gap — the cumulative
         // ack cannot say so, and retransmitting all of them on every gap
         // would collapse into go-back-N. Once the head is repaired the
         // cumulative ack clears the rest (or exposes the next true loss).
-        let mut out = Vec::new();
         if let Some(u) = self.window.front_mut() {
             if u.deadline <= now {
                 u.rto = SimTime::from_nanos(u.rto.as_nanos().saturating_mul(2)).min(self.rto_cap);
                 u.last_sent = now;
                 u.deadline = now + u.rto;
                 self.retransmits += 1;
-                out.push(u.sealed.clone());
+                resend.push(u.sealed.clone());
             }
         }
-        out
     }
 
     pub(crate) fn outstanding(&self) -> usize {
@@ -164,6 +163,11 @@ impl SendWindow {
 /// output commit spins the event loop forward until the window is empty
 /// (the pessimistic ack wait). The backup side only ever consumes frames
 /// this layer has verified and released in order.
+///
+/// The event loop allocates nothing per arrival, per pass or per expiry:
+/// arrivals are popped off the link one at a time, and the receiver's
+/// replies and the frames due for retransmission pass through two scratch
+/// buffers the link keeps.
 #[derive(Debug)]
 pub struct ReliableLink {
     link: LossyChannel,
@@ -171,6 +175,10 @@ pub struct ReliableLink {
     recv: RecvWindow,
     /// Control messages in flight on the reverse path, time-sorted.
     ctrl: VecDeque<(SimTime, Control)>,
+    /// The receiver's replies to the arrival being processed.
+    replies: Vec<Control>,
+    /// Frames due for retransmission in the current pass.
+    resend: Vec<Bytes>,
     /// Sender CPU cost accrued by retransmissions since last collected.
     pending_cost: SimTime,
     ack_round_trips: u64,
@@ -191,6 +199,8 @@ impl ReliableLink {
             window: SendWindow::new(rto_base),
             recv: RecvWindow::new(),
             ctrl: VecDeque::new(),
+            replies: Vec::new(),
+            resend: Vec::new(),
             pending_cost: SimTime::ZERO,
             ack_round_trips: 0,
         }
@@ -202,39 +212,33 @@ impl ReliableLink {
         self.link.send(now, sealed)
     }
 
-    fn push_ctrl(&mut self, at: SimTime, ctrl: Control) {
-        let pos = self.ctrl.partition_point(|(t, _)| *t <= at);
-        self.ctrl.insert(pos, (at, ctrl));
-    }
-
     /// Advances the transport's event processing to `now`: delivers link
     /// arrivals into the receive window, turns around control messages,
     /// applies those that have arrived back, and fires due timeouts.
     pub fn pump(&mut self, now: SimTime) {
+        let p = self.link.params();
+        let (ack_cost, propagation) = (p.ack_cost, p.propagation);
         loop {
             let mut progressed = false;
-            let arrivals = self.link.recv_ready(now);
-            for (at, raw) in arrivals {
-                let mut ctrls = Vec::new();
-                self.recv.offer(at, raw, &mut ctrls);
-                let p = self.link.params();
-                let reply_at = at + p.ack_cost + p.propagation;
-                for c in ctrls {
-                    self.push_ctrl(reply_at, c);
+            while let Some((at, raw)) = self.link.pop_ready(now) {
+                self.recv.offer(at, raw, &mut self.replies);
+                let reply_at = at + ack_cost + propagation;
+                for c in self.replies.drain(..) {
+                    let pos = self.ctrl.partition_point(|(t, _)| *t <= reply_at);
+                    self.ctrl.insert(pos, (reply_at, c));
                 }
                 progressed = true;
             }
-            let mut resend = Vec::new();
             while let Some(&(at, ctrl)) = self.ctrl.front() {
                 if at > now {
                     break;
                 }
                 self.ctrl.pop_front();
-                self.window.on_control(at, ctrl, &mut resend);
+                self.window.on_control(at, ctrl, &mut self.resend);
                 progressed = true;
             }
-            resend.extend(self.window.expired(now));
-            for sealed in resend {
+            self.window.expired(now, &mut self.resend);
+            for sealed in self.resend.drain(..) {
                 self.pending_cost += self.link.send(now, sealed);
                 progressed = true;
             }
@@ -293,9 +297,10 @@ impl ReliableLink {
     /// paper's epoch argument: equivalent to records lost in the crashed
     /// primary's buffer).
     pub fn drain_prefix(&mut self) -> Vec<(SimTime, Bytes)> {
-        let mut ctrls = Vec::new();
+        // Nobody is left to answer: the receiver's replies are dropped.
         for (at, raw) in self.link.drain() {
-            self.recv.offer(at, raw, &mut ctrls);
+            self.recv.offer(at, raw, &mut self.replies);
+            self.replies.clear();
         }
         let (prefix, _discarded) = self.recv.take_prefix();
         prefix
@@ -888,12 +893,16 @@ impl PrimaryCore {
         let retain = self.checkpoint_interval.is_some();
         match self.codec {
             WireCodec::Fixed => {
-                for frame in std::mem::take(&mut self.buffer) {
+                // Taken for the loop and put back empty, so the next flush
+                // reuses its allocation.
+                let mut buffer = std::mem::take(&mut self.buffer);
+                for frame in buffer.drain(..) {
                     if retain {
                         self.retain_frame(frame.len());
                     }
                     self.send_record_frame(frame, acct);
                 }
+                self.buffer = buffer;
             }
             WireCodec::Compact => {
                 let frame = build_batch_frame(&self.buffer);
@@ -1983,7 +1992,10 @@ mod tests {
                         win.on_control(at, Control::Nack { seq }, &mut resend);
                         (resend, model.nack(at, seq))
                     }
-                    WinOp::Expire => (win.expired(now), model.expire(now)),
+                    WinOp::Expire => {
+                        win.expired(now, &mut resend);
+                        (resend, model.expire(now))
+                    }
                 };
                 prop_assert_eq!(got, want, "step {}: sent or resent frames", i);
                 prop_assert_eq!(win.retransmits, model.retransmits, "step {}: retransmits", i);

@@ -18,6 +18,7 @@
 use crate::channel::{ChannelStats, NetParams};
 use crate::clock::SimTime;
 use bytes::Bytes;
+use std::collections::VecDeque;
 
 /// A deterministic, seeded plan of network faults applied per send attempt.
 ///
@@ -194,8 +195,10 @@ impl NetFaultPlan {
 pub struct LossyChannel {
     params: NetParams,
     plan: NetFaultPlan,
-    /// (arrival instant, payload), kept sorted by arrival.
-    in_flight: Vec<(SimTime, Bytes)>,
+    /// (arrival instant, payload), kept sorted by arrival; frames that
+    /// arrive at the same instant keep their send order. Due frames leave
+    /// from the front.
+    in_flight: VecDeque<(SimTime, Bytes)>,
     attempts: u64,
     stats: ChannelStats,
 }
@@ -206,7 +209,7 @@ impl LossyChannel {
         LossyChannel {
             params,
             plan,
-            in_flight: Vec::new(),
+            in_flight: VecDeque::new(),
             attempts: 0,
             stats: ChannelStats::default(),
         }
@@ -263,19 +266,29 @@ impl LossyChannel {
 
     /// The earliest pending arrival, if any frame is in flight.
     pub fn next_arrival(&self) -> Option<SimTime> {
-        self.in_flight.first().map(|(t, _)| *t)
+        self.in_flight.front().map(|(t, _)| *t)
+    }
+
+    /// The earliest frame in flight, if its arrival instant is at or
+    /// before `now`.
+    #[inline]
+    pub fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, Bytes)> {
+        if self.in_flight.front()?.0 <= now {
+            self.in_flight.pop_front()
+        } else {
+            None
+        }
     }
 
     /// Frames whose arrival instant is at or before `now`, in arrival order.
     pub fn recv_ready(&mut self, now: SimTime) -> Vec<(SimTime, Bytes)> {
-        let n = self.in_flight.partition_point(|(t, _)| *t <= now);
-        self.in_flight.drain(..n).collect()
+        std::iter::from_fn(|| self.pop_ready(now)).collect()
     }
 
     /// Delivers everything in flight regardless of time (takeover: frames
     /// already on the wire still arrive; frames the plan dropped do not).
     pub fn drain(&mut self) -> Vec<(SimTime, Bytes)> {
-        std::mem::take(&mut self.in_flight)
+        std::mem::take(&mut self.in_flight).into()
     }
 
     /// Number of frames still in flight.

@@ -267,6 +267,22 @@ impl WireWriter {
         self.put_vbytes(v.as_bytes());
     }
 
+    /// Overwrites the four bytes at `at` with little-endian `v`: fills in
+    /// a placeholder whose value depends on what was written after it.
+    ///
+    /// # Panics
+    /// Panics if fewer than four bytes were written at `at`.
+    #[inline]
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The bytes written so far.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Number of bytes written so far.
     #[inline]
     pub fn len(&self) -> usize {
@@ -523,6 +539,20 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "hello");
         assert_eq!(r.get_u32_seq().unwrap(), vec![1, 2, 3]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn patch_fills_a_placeholder() {
+        let mut w = WireWriter::new();
+        w.put_u8(7);
+        w.put_u32(0);
+        w.put_uvarint(300);
+        w.patch_u32(1, 0xDEAD_BEEF);
+        assert_eq!(w.as_bytes(), &[7, 0xEF, 0xBE, 0xAD, 0xDE, 0xAC, 0x02]);
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_u8().unwrap(), 7);
+        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.get_uvarint().unwrap(), 300);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `Arc<[u8]>`, which allocates and copies once, where the real crate
 //! reuses the vector's allocation.
 
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// Immutable, reference-counted byte buffer (view into a shared allocation).
@@ -208,6 +208,13 @@ impl Deref for BytesMut {
     #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 

@@ -18,6 +18,10 @@
 //! peaks, and the primary's per-category time account (which sums every
 //! cut's serialization charge). The first table cannot see a cut charged
 //! by the wrong length; this one can.
+//!
+//! A third table pins the lossy runs' transport: every reign's per-link
+//! send, drop, retransmit, NACK, duplicate, corruption, reorder and
+//! ack-wait counters and its clock.
 
 use ftjvm::netsim::{Category, FailureDetector, FaultPlan, SimTime, WireCodec};
 use ftjvm::workloads::micro;
@@ -138,23 +142,7 @@ fn reports() -> Vec<(String, GroupReport)> {
             GroupConfig::default(),
         ));
     }
-    for (mode, seed) in MODES.into_iter().zip([0x5EED_0001u64, 0x5EED_0002]) {
-        let c = commits(420);
-        out.push(run(
-            &format!("chain5/{mode}"),
-            420,
-            FtConfig { net_fault: mixed_plan(seed, 0.20), ..group_cfg(mode, WireCodec::Fixed) },
-            GroupConfig {
-                size: 5,
-                kills: vec![
-                    FaultPlan::BeforeOutput(c / 5),
-                    FaultPlan::BeforeOutput(c / 2),
-                    FaultPlan::BeforeOutput(c * 4 / 5),
-                ],
-                ..GroupConfig::default()
-            },
-        ));
-    }
+    out.extend(chain5_reports());
     let c = commits(300);
     out.push(run(
         "chain4/compact",
@@ -180,17 +168,7 @@ fn reports() -> Vec<(String, GroupReport)> {
             ..GroupConfig::default()
         },
     ));
-    for mode in MODES {
-        out.push(run(
-            &format!("byzantine/{mode}"),
-            120,
-            FtConfig {
-                net_fault: NetFaultPlan { byzantine_at: vec![4], ..NetFaultPlan::default() },
-                ..group_cfg(mode, WireCodec::Fixed)
-            },
-            GroupConfig { vote_quorum: Some(3), ..GroupConfig::default() },
-        ));
-    }
+    out.extend(byzantine_reports());
     out.push(run(
         "equivocation",
         120,
@@ -224,6 +202,49 @@ fn reports() -> Vec<(String, GroupReport)> {
         }
     }
     out
+}
+
+/// The 5-replica kill chain over a 20%-loss link, both modes.
+fn chain5_reports() -> Vec<(String, GroupReport)> {
+    let c = commits(420);
+    MODES
+        .into_iter()
+        .zip([0x5EED_0001u64, 0x5EED_0002])
+        .map(|(mode, seed)| {
+            run(
+                &format!("chain5/{mode}"),
+                420,
+                FtConfig { net_fault: mixed_plan(seed, 0.20), ..group_cfg(mode, WireCodec::Fixed) },
+                GroupConfig {
+                    size: 5,
+                    kills: vec![
+                        FaultPlan::BeforeOutput(c / 5),
+                        FaultPlan::BeforeOutput(c / 2),
+                        FaultPlan::BeforeOutput(c * 4 / 5),
+                    ],
+                    ..GroupConfig::default()
+                },
+            )
+        })
+        .collect()
+}
+
+/// A byzantine primary demoted by the digest vote, both modes.
+fn byzantine_reports() -> Vec<(String, GroupReport)> {
+    MODES
+        .into_iter()
+        .map(|mode| {
+            run(
+                &format!("byzantine/{mode}"),
+                120,
+                FtConfig {
+                    net_fault: NetFaultPlan { byzantine_at: vec![4], ..NetFaultPlan::default() },
+                    ..group_cfg(mode, WireCodec::Fixed)
+                },
+                GroupConfig { vote_quorum: Some(3), ..GroupConfig::default() },
+            )
+        })
+        .collect()
 }
 
 /// `cargo test --release --test group_equivalence -- --ignored --nocapture`
@@ -325,6 +346,97 @@ const EPOCH_PINNED: &[(&str, &str)] = &[
     ("clean3/thread-sched/Fixed", "m0:cuts=2 at=[26, 78] snap=3572 suffix=153/5814 acct=[243840, 14031900, 0, 0, 807414, 12094750] m1:cuts=2 at=[26, 53] snap=6888 suffix=146/5521 acct=[485700, 36749384, 0, 0, 3248540, 5748000]"),
     ("clean3/thread-sched/Compact", "m0:cuts=2 at=[26, 78] snap=3595 suffix=52/3062 acct=[243840, 5553000, 0, 0, 811464, 11784700] m1:cuts=2 at=[26, 53] snap=6904 suffix=49/2920 acct=[485700, 22831334, 0, 0, 3590539, 5595990]"),
     ("fleet-slot/29", "m0:cuts=2 at=[26, 78] snap=3593 suffix=52/3062 acct=[192900, 2513520, 0, 0, 694890, 10640000]"),
+];
+
+// --- the lossy transport ----------------------------------------------------
+//
+// The tables above see what the reliable link delivered, not what it took
+// to deliver it: no fingerprint counts a retransmission, a NACK or a
+// suppressed duplicate. This one pins, for every run over a lossy link,
+// each reign's per-link `ChannelStats` and clock and the run's final clock.
+// A change to the link's seal, send, pump or ack-wait path that adds,
+// drops or reorders one protocol event moves a counter or an instant here.
+
+/// Every reign's clock and per-link transport counters, as one line.
+fn transport_fingerprint(r: &GroupReport) -> String {
+    let reigns: Vec<String> = r
+        .reigns
+        .iter()
+        .map(|g| {
+            let links: Vec<String> = g
+                .channels
+                .iter()
+                .map(|c| {
+                    format!(
+                        "{}/{}/{}/{}/{}/{}/{}/{}/{}",
+                        c.messages_sent,
+                        c.bytes_sent,
+                        c.drops,
+                        c.retransmits,
+                        c.dup_deliveries,
+                        c.corrupted_frames,
+                        c.reordered,
+                        c.nacks,
+                        c.ack_round_trips
+                    )
+                })
+                .collect();
+            format!("m{}@{}:[{}]", g.member, g.report.acct.now().as_nanos(), links.join(" "))
+        })
+        .collect();
+    format!("end={} {}", r.final_report.acct.now().as_nanos(), reigns.join(" "))
+}
+
+/// The failure-free 3-replica run of the benchmark's `lossy_group`
+/// (a 1000-entry journal over a 10%-loss link, seed 71), both modes, then
+/// the chain and vote runs of [`reports`].
+fn transport_matrix() -> Vec<(String, String)> {
+    let mut out: Vec<(String, GroupReport)> = MODES
+        .into_iter()
+        .map(|mode| {
+            run(
+                &format!("ff10/{mode}"),
+                1000,
+                FtConfig { net_fault: mixed_plan(71, 0.10), ..group_cfg(mode, WireCodec::Fixed) },
+                GroupConfig::default(),
+            )
+        })
+        .collect();
+    out.extend(chain5_reports());
+    out.extend(byzantine_reports());
+    out.iter().map(|(key, r)| (key.clone(), transport_fingerprint(r))).collect()
+}
+
+/// `cargo test --release --test group_equivalence generate_transport_pins
+/// -- --ignored --nocapture` regenerates [`TRANSPORT_PINNED`].
+#[test]
+#[ignore = "fingerprint generator, not a check"]
+fn generate_transport_pins() {
+    for (key, fp) in transport_matrix() {
+        println!("    (\"{key}\", \"{fp}\"),");
+    }
+}
+
+/// Every send, drop, retransmission, NACK, duplicate, corrupt frame,
+/// reorder and ack wait of the lossy runs, and every reign's clock.
+#[test]
+fn lossy_transport_pinned() {
+    let got = transport_matrix();
+    assert_eq!(got.len(), TRANSPORT_PINNED.len(), "matrix size");
+    for ((key, fp), (pkey, pfp)) in got.iter().zip(TRANSPORT_PINNED) {
+        assert_eq!(key, pkey, "case order");
+        assert_eq!(fp, pfp, "{key}: the lossy transport diverged from the pinned run");
+    }
+}
+
+#[rustfmt::skip]
+const TRANSPORT_PINNED: &[(&str, &str)] = &[
+    ("ff10/lock-sync", "end=1097859841 m0@1097859841:[4002/162537/416/491/173/82/448/281/1002 4002/162537/416/491/173/82/448/281/1002]"),
+    ("ff10/thread-sched", "end=1098362726 m0@1098362726:[4002/162537/416/491/173/82/448/281/1002 4002/162537/416/491/173/82/448/281/1002]"),
+    ("chain5/lock-sync", "end=521992097 m0@148228624:[389/15007/66/74/18/10/70/41/85 389/15007/66/74/18/10/70/41/85 389/15007/66/74/18/10/70/41/85 389/15007/66/74/18/10/70/41/85] m1@308212432:[341/19408/61/67/15/8/97/28/50 246/16524/45/50/14/5/45/28/50 113/12458/14/17/7/4/16/11/24 0/0/0/0/0/0/0/0/0] m2@484656061:[341/24780/61/67/15/8/95/28/50 246/21549/45/49/13/5/52/26/50 113/17844/14/17/7/4/23/13/24 0/0/0/0/0/0/0/0/0] m3@521992097:[143/22677/23/26/10/4/52/6/9 42/19489/3/3/5/0/4/3/9 5/18390/0/0/1/0/0/0/0 0/0/0/0/0/0/0/0/0]"),
+    ("chain5/thread-sched", "end=762693816 m0@194800427:[398/15570/77/83/16/6/66/39/85 398/15570/77/83/16/6/66/39/85 398/15570/77/83/16/6/66/39/85 398/15570/77/83/16/6/66/39/85] m1@445396254:[388/21213/76/82/16/6/116/36/58 285/17618/57/60/12/3/46/26/58 33/10277/5/5/2/0/2/2/7 0/0/0/0/0/0/0/0/0] m2@697203601:[383/26547/75/82/17/6/114/34/56 280/22744/56/59/12/3/46/25/56 25/15381/3/3/2/0/2/1/5 0/0/0/0/0/0/0/0/0] m3@762693816:[170/23474/32/35/8/3/82/14/13 63/20120/9/9/3/0/5/3/13 5/18390/0/0/0/0/0/0/0 0/0/0/0/0/0/0/0/0]"),
+    ("byzantine/lock-sync", "end=20656070 m0@512050:[9/303/0/0/0/0/0/0/1 9/303/0/0/0/0/0/0/1] m1@20656070:[300/15600/0/1/1/0/0/0/45 195/13974/0/1/1/0/0/0/45]"),
+    ("byzantine/thread-sched", "end=13313432 m0@513114:[9/303/0/0/0/0/0/0/1 9/303/0/0/0/0/0/0/1] m1@13313432:[196/13981/0/1/1/0/0/0/20 88/11737/0/1/1/0/0/0/20]"),
 ];
 
 // --- a pair is a group of two ---------------------------------------------
