@@ -13,6 +13,9 @@
 //!   detection latency and suffix-replay time.
 //! * **voting** — the same group with `vote_quorum = 3` and a byzantine
 //!   primary; time from the armed flip to the vote demotion.
+//!
+//! Prints only simulated time, so the output is committed byte for byte
+//! as `docs/results/group.txt`.
 
 use ftjvm_core::ftjvm::{FtConfig, FtJvm, ReplicationMode};
 use ftjvm_core::group::GroupConfig;

@@ -1,43 +1,34 @@
 //! Interpreter-throughput artifact: wall-clock instructions/second of the
-//! fused (superinstruction + quickening + inline-cache) engine and the
-//! plain pre-decoded block-dispatch engine versus the per-unit `match`
-//! baseline (`DispatchEngine::Match` with `block_cap = 1`), plus the
-//! per-workload Figure 3 / Figure 4 overhead slices the engine change
-//! moves.
+//! fused (superinstruction + quickening + inline-cache) engine versus the
+//! per-unit `match` baseline (`DispatchEngine::Match` with
+//! `block_cap = 1`).
 //!
 //! Run: `cargo run -p ftjvm-bench --release --bin interp`
 //!
 //! * `--write` refreshes `BENCH_interpreter.json` at the repo root.
-//! * `--check` re-measures and exits nonzero if the fused-vs-baseline (or
-//!   decoded-vs-baseline) speedup regressed more than 20% against the
-//!   committed JSON. The gate is on the *speedup ratios*, which are stable
-//!   across machines; absolute instructions/second are printed for
-//!   eyeballing but only warned about, because CI runners differ in raw
-//!   clock speed.
+//! * `--check` re-measures and exits nonzero if the fused-vs-baseline
+//!   speedup regressed more than 20% against the committed JSON. The gate
+//!   is on the *speedup ratio*, which is stable across machines; absolute
+//!   instructions/second are printed for eyeballing only, because CI
+//!   runners differ in raw clock speed.
 //! * `--profile-ops` skips the throughput matrix and instead dumps ranked
 //!   executed-op single/digram/trigram frequencies per SPEC analog plus
 //!   the cross-suite aggregate — the measured provenance of the fusion
 //!   table in `crates/vm/src/decoded.rs` (recorded in DESIGN.md §8.6).
 
-use ftjvm_bench::{bench_config, breakdown};
+use ftjvm_bench::bench_config;
 use ftjvm_core::{FtJvm, ReplicationMode};
-use ftjvm_netsim::{Category, SimTime};
+use ftjvm_netsim::SimTime;
 use ftjvm_vm::coordinator::NoopCoordinator;
 use ftjvm_vm::{DispatchEngine, NativeRegistry, OpProfiler, SimEnv, Vm, World};
 use ftjvm_workloads::Workload;
 use std::time::Instant;
 
-/// One figure's five labelled overhead slices.
-type Slices = [(&'static str, f64); 5];
-
-/// One workload's throughput measurement under the three engines.
+/// One workload's throughput under the two engines.
 struct Row {
     name: &'static str,
     fused_ips: f64,
-    decoded_ips: f64,
     match1_ips: f64,
-    fig3: Slices,
-    fig4: Slices,
 }
 
 /// Wall-clock instructions/second of one unreplicated run configuration,
@@ -57,36 +48,13 @@ fn instr_per_sec(w: &Workload, engine: DispatchEngine, block_cap: u32, iters: u3
     best
 }
 
-/// Primary-side overhead slices (the Figure 3 / Figure 4 stacked bars)
-/// under the current (fused) engine.
-fn slices(w: &Workload) -> (Slices, Slices) {
-    let base = {
-        let harness = FtJvm::new(w.program.clone(), bench_config(ReplicationMode::LockSync));
-        let (report, _) = harness.run_unreplicated().expect("baseline runs");
-        report.acct.total()
-    };
-    let primary_acct = |mode| {
-        let harness = FtJvm::new(w.program.clone(), bench_config(mode));
-        let world = ftjvm_vm::World::shared();
-        let (report, _, _, _) = harness
-            .run_primary_to_log(&world, ftjvm_netsim::FaultPlan::None)
-            .expect("primary runs");
-        report.acct
-    };
-    let fig3 = breakdown(&primary_acct(ReplicationMode::LockSync), base, Category::LockAcquire);
-    let fig4 = breakdown(&primary_acct(ReplicationMode::ThreadSched), base, Category::Resched);
-    (fig3, fig4)
-}
-
 fn measure(iters: u32) -> Vec<Row> {
     ftjvm_workloads::spec_suite()
         .iter()
-        .map(|w| {
-            let fused_ips = instr_per_sec(w, DispatchEngine::Fused, 0, iters);
-            let decoded_ips = instr_per_sec(w, DispatchEngine::Decoded, 0, iters);
-            let match1_ips = instr_per_sec(w, DispatchEngine::Match, 1, iters);
-            let (fig3, fig4) = slices(w);
-            Row { name: w.name, fused_ips, decoded_ips, match1_ips, fig3, fig4 }
+        .map(|w| Row {
+            name: w.name,
+            fused_ips: instr_per_sec(w, DispatchEngine::Fused, 0, iters),
+            match1_ips: instr_per_sec(w, DispatchEngine::Match, 1, iters),
         })
         .collect()
 }
@@ -104,43 +72,26 @@ fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn slice_json(parts: &Slices) -> String {
-    let fields: Vec<String> =
-        parts.iter().map(|(label, v)| format!("\"{}\": {v:.4}", label.replace('-', "_"))).collect();
-    format!("{{ {} }}", fields.join(", "))
-}
-
 fn render_json(rows: &[Row]) -> String {
     let fus_geo = geomean(rows.iter().map(|r| r.fused_ips));
-    let dec_geo = geomean(rows.iter().map(|r| r.decoded_ips));
     let mat_geo = geomean(rows.iter().map(|r| r.match1_ips));
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": 2,\n");
+    out.push_str("{\n  \"schema\": 3,\n");
     out.push_str("  \"geomean_instr_per_sec\": {\n");
     out.push_str(&format!("    \"fused\": {fus_geo:.0},\n"));
-    out.push_str(&format!("    \"decoded\": {dec_geo:.0},\n"));
     out.push_str(&format!("    \"match_cap1\": {mat_geo:.0},\n"));
-    out.push_str(&format!("    \"fused_speedup\": {:.3},\n", fus_geo / mat_geo));
-    out.push_str(&format!("    \"fusion_gain\": {:.3},\n", fus_geo / dec_geo));
-    out.push_str(&format!("    \"speedup\": {:.3}\n  }},\n", dec_geo / mat_geo));
+    out.push_str(&format!("    \"fused_speedup\": {:.3}\n  }},\n", fus_geo / mat_geo));
     out.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", r.name));
         out.push_str(&format!(
-            "      \"instr_per_sec\": {{ \"fused\": {:.0}, \"decoded\": {:.0}, \
-             \"match_cap1\": {:.0}, \"fused_speedup\": {:.3}, \"fusion_gain\": {:.3}, \
-             \"speedup\": {:.3} }},\n",
+            "    {{ \"name\": \"{}\", \"instr_per_sec\": {{ \"fused\": {:.0}, \
+             \"match_cap1\": {:.0}, \"fused_speedup\": {:.3} }} }}{}\n",
+            r.name,
             r.fused_ips,
-            r.decoded_ips,
             r.match1_ips,
             r.fused_ips / r.match1_ips,
-            r.fused_ips / r.decoded_ips,
-            r.decoded_ips / r.match1_ips
+            if i + 1 == rows.len() { "" } else { "," }
         ));
-        out.push_str(&format!("      \"fig3_lock_primary\": {},\n", slice_json(&r.fig3)));
-        out.push_str(&format!("      \"fig4_ts_primary\": {}\n", slice_json(&r.fig4)));
-        out.push_str(if i + 1 == rows.len() { "    }\n" } else { "    },\n" });
     }
     out.push_str("  ]\n}\n");
     out
@@ -164,15 +115,15 @@ fn json_path() -> std::path::PathBuf {
 }
 
 /// `--profile-ops`: executed-op frequency census across the SPEC suite
-/// under the plain decoded engine (no fusion — the point is to measure
-/// the raw digram/trigram stream fusion would act on). With `--fused`,
-/// profiles the fused stream instead: shows how much of the dynamic mix
-/// the superinstructions absorbed.
+/// under the `Match` engine (no fusion, no quickening — the point is to
+/// measure the raw digram/trigram stream fusion would act on). With
+/// `--fused`, profiles the fused stream instead: shows how much of the
+/// dynamic mix the superinstructions absorbed.
 fn profile_ops(fused: bool) {
     let mut agg = OpProfiler::new();
     for w in ftjvm_workloads::spec_suite() {
         let mut cfg = bench_config(ReplicationMode::ThreadSched).vm;
-        cfg.engine = if fused { DispatchEngine::Fused } else { DispatchEngine::Decoded };
+        cfg.engine = if fused { DispatchEngine::Fused } else { DispatchEngine::Match };
         cfg.profile_ops = true;
         let world = World::shared();
         let env = SimEnv::new("prof", world.clone(), SimTime::ZERO, 7);
@@ -198,35 +149,23 @@ fn main() {
 
     let rows = measure(iters);
     let fus_geo = geomean(rows.iter().map(|r| r.fused_ips));
-    let dec_geo = geomean(rows.iter().map(|r| r.decoded_ips));
     let mat_geo = geomean(rows.iter().map(|r| r.match1_ips));
     let fused_speedup = fus_geo / mat_geo;
-    let speedup = dec_geo / mat_geo;
 
-    println!("Interpreter throughput: fused / decoded block dispatch vs per-unit match (cap=1)\n");
-    println!(
-        "{:10} {:>15} {:>15} {:>15} {:>7} {:>9}",
-        "benchmark", "fused i/s", "decoded i/s", "match1 i/s", "fgain", "fspeedup"
-    );
+    println!("Interpreter throughput: fused block dispatch vs per-unit match (cap=1)\n");
+    println!("{:10} {:>15} {:>15} {:>9}", "benchmark", "fused i/s", "match1 i/s", "fspeedup");
     for r in &rows {
         println!(
-            "{:10} {:>15.0} {:>15.0} {:>15.0} {:>6.2}x {:>8.2}x",
+            "{:10} {:>15.0} {:>15.0} {:>8.2}x",
             r.name,
             r.fused_ips,
-            r.decoded_ips,
             r.match1_ips,
-            r.fused_ips / r.decoded_ips,
             r.fused_ips / r.match1_ips
         );
     }
     println!(
-        "{:10} {:>15.0} {:>15.0} {:>15.0} {:>6.2}x {:>8.2}x  (geomean)",
-        "geomean",
-        fus_geo,
-        dec_geo,
-        mat_geo,
-        fus_geo / dec_geo,
-        fused_speedup
+        "{:10} {:>15.0} {:>15.0} {:>8.2}x  (geomean)",
+        "geomean", fus_geo, mat_geo, fused_speedup
     );
 
     if write {
@@ -238,22 +177,14 @@ fn main() {
         let path = json_path();
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("--check needs {}: {e}", path.display()));
-        let mut failed = false;
-        for (key, measured) in [("fused_speedup", fused_speedup), ("speedup", speedup)] {
-            let Some(want) = committed_geomean_field(&committed, key) else {
-                // Pre-fusion schema has no fused entry; gate on what exists.
-                continue;
-            };
-            println!("\ncommitted geomean {key} {want:.2}x, measured {measured:.2}x");
-            if measured < want * 0.8 {
-                eprintln!("FAIL: {key} regressed more than 20% vs committed baseline");
-                failed = true;
-            } else if measured < want {
-                println!("note: below committed baseline but within the 20% tolerance");
-            }
-        }
-        if failed {
+        let want = committed_geomean_field(&committed, "fused_speedup")
+            .unwrap_or_else(|| panic!("{} has no geomean fused_speedup", path.display()));
+        println!("\ncommitted geomean fused_speedup {want:.2}x, measured {fused_speedup:.2}x");
+        if fused_speedup < want * 0.8 {
+            eprintln!("FAIL: fused_speedup regressed more than 20% vs committed baseline");
             std::process::exit(1);
+        } else if fused_speedup < want {
+            println!("note: below committed baseline but within the 20% tolerance");
         }
         println!("OK");
     }

@@ -6,7 +6,15 @@
 //!
 //! Each binary in `src/bin/` prints one artifact:
 //! `cargo run -p ftjvm-bench --release --bin table2` (likewise `fig2`,
-//! `fig3`, `fig4`).
+//! `fig3`, `fig4`). Ten of them — those four plus `failover`,
+//! `netfault`, `ablations`, `density`, `reintegrate` and `group` — print
+//! only simulated time and counts, so their output is a pure function of
+//! the code and is committed byte for byte under `docs/results/`. Two
+//! report host wall-clock: `interp` (fused vs per-unit `match` dispatch,
+//! gated by `--check` against `BENCH_interpreter.json`) and `fleet`
+//! (whose simulated half is pinned by `tests/fleet.rs`). Host-time
+//! performance of the replication layers is the `benchmark/` package's
+//! job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,7 +21,7 @@ use crate::class::Program;
 
 /// Dense operation code, one per [`Insn`] variant, plus the fused
 /// superinstructions (`F*`) that exist only in the fused stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub(crate) enum OpCode {
     Nop,
@@ -159,8 +159,9 @@ pub(crate) const F_SYNC_CALLEE: u8 = 1 << 1;
 /// `flags >> F_FUSE_SHIFT` is 0 for every non-fused op.
 pub(crate) const F_FUSE_SHIFT: u8 = 4;
 
-/// `InvokeVirtual.imm` value meaning "no inline-cache site" (the base and
-/// `Match` streams; only the fused stream assigns real site ids ≥ 0).
+/// `InvokeVirtual.imm` value meaning "no inline-cache site": what
+/// [`decode_one`] emits, so the `Match` engine never touches the caches;
+/// quickening assigns real site ids ≥ 0 in the decoded streams.
 pub(crate) const NO_IC: i64 = -1;
 
 /// One monomorphic inline-cache entry: the receiver class last seen at an
@@ -247,7 +248,7 @@ pub(crate) fn cmp_of(a: u32) -> Cmp {
 /// Decodes one instruction. Also the per-op path of the `Match` dispatch
 /// engine, which re-derives the flat form from the original `Insn` on
 /// every fetch — deliberately paying the decode + match cost the
-/// pre-decoded engine amortizes away.
+/// pre-decoded streams amortize away.
 pub(crate) fn decode_one(insn: Insn, program: &Program) -> DOp {
     let op = |code| DOp { code, flags: 0, a: 0, b: 0, imm: 0 };
     match insn {
@@ -323,13 +324,11 @@ pub(crate) fn decode_one(insn: Insn, program: &Program) -> DOp {
     }
 }
 
-/// One method in decoded form: three parallel streams over the same pcs.
+/// One method in decoded form: two parallel streams over the same pcs.
+/// The unquickened form `Match` dispatches is not stored; it is
+/// [`decode_one`] of the method's `Insn`s.
 #[derive(Debug)]
 pub(crate) struct DecodedMethod {
-    /// The plain decoded stream (`decode_one` verbatim) — what the
-    /// `Decoded` engine dispatches. Kept rewrite-free so it stays the
-    /// measured pre-fusion baseline.
-    pub base: Vec<DOp>,
     /// Quickened singles: same ops with operands rewritten to direct
     /// facts (static-callee frame shape, inline-cache site ids). The
     /// `Fused` engine's fallback stream when a superinstruction does not
@@ -562,7 +561,7 @@ fn fuse_window(w: &[DOp], targets: &[bool]) -> Option<DOp> {
 }
 
 impl DecodedProgram {
-    /// Decodes every method of `program` into the three streams.
+    /// Decodes every method of `program` into the two streams.
     /// Deterministic: both replicas build identical streams (and identical
     /// inline-cache site numbering) from the identical program.
     pub fn build(program: &Program) -> Self {
@@ -571,12 +570,13 @@ impl DecodedProgram {
             .methods
             .iter()
             .map(|m| {
-                let base: Vec<DOp> = m.code.iter().map(|i| decode_one(*i, program)).collect();
-                // Quickening: rewrite operands to decode-time facts.
-                let quick: Vec<DOp> = base
+                // Quickening: decode, then rewrite operands to decode-time
+                // facts.
+                let quick: Vec<DOp> = m
+                    .code
                     .iter()
-                    .map(|op| {
-                        let mut q = *op;
+                    .map(|i| {
+                        let mut q = decode_one(*i, program);
                         match q.code {
                             // Non-synchronized static call: fold the
                             // callee's frame shape in, so the invoke path
@@ -598,8 +598,8 @@ impl DecodedProgram {
                     .collect();
                 // Branch/handler targets: fused ops may start at one but
                 // never cover one as an interior constituent.
-                let mut is_target = vec![false; base.len()];
-                for op in &base {
+                let mut is_target = vec![false; quick.len()];
+                for op in &quick {
                     if matches!(op.code, OpCode::Goto | OpCode::If | OpCode::IfNot | OpCode::IfNull)
                     {
                         if let Some(t) = is_target.get_mut(op.a as usize) {
@@ -628,7 +628,7 @@ impl DecodedProgram {
                         None => i += 1,
                     }
                 }
-                DecodedMethod { base, quick, fused }
+                DecodedMethod { quick, fused }
             })
             .collect();
         let strings = program
@@ -659,8 +659,10 @@ mod tests {
 
         let d = DecodedProgram::build(&program);
         assert_eq!(d.methods.len(), program.methods.len());
-        let main_ops = &d.methods[entry.0 as usize].base;
-        assert_eq!(main_ops.len(), program.method(entry).code.len());
+        assert_eq!(d.methods[entry.0 as usize].quick.len(), program.method(entry).code.len());
+        // The unquickened form `Match` dispatches.
+        let main_ops: Vec<DOp> =
+            program.method(entry).code.iter().map(|i| decode_one(*i, &program)).collect();
         assert_eq!(main_ops[0].code, OpCode::ConstI);
         assert_eq!(main_ops[0].imm, 41);
         assert_eq!(main_ops[2].code, OpCode::Add);
@@ -684,8 +686,7 @@ mod tests {
         let entry = m.build(&mut b);
         let program = b.build(entry).unwrap();
 
-        let d = DecodedProgram::build(&program);
-        let call = d.methods[entry.0 as usize].base[1];
+        let call = decode_one(program.method(entry).code[1], &program);
         assert_eq!(call.code, OpCode::InvokeStatic);
         assert!(call.flags & F_SYNC_CALLEE != 0);
         assert!(call.is_breaker());
@@ -735,10 +736,9 @@ mod tests {
             assert_eq!(dm.fused[pc].code, code, "interior pc {pc}");
             assert_eq!(dm.fused[pc].flags >> F_FUSE_SHIFT, 0);
         }
-        // The base stream stays decode_one verbatim — the Decoded
-        // engine's measured pre-fusion floor.
-        for (pc, op) in dm.base.iter().enumerate() {
-            assert_eq!(op.flags >> F_FUSE_SHIFT, 0, "base pc {pc} must not fuse");
+        // The fallback stream holds singles only.
+        for (pc, op) in dm.quick.iter().enumerate() {
+            assert_eq!(op.flags >> F_FUSE_SHIFT, 0, "quick pc {pc} must not fuse");
         }
     }
 
@@ -753,8 +753,8 @@ mod tests {
         assert_eq!(dm.fused[2].code, OpCode::FSpin, "loop head keeps its fusion");
         // Every fused op in every method respects the rule globally.
         for dm in &DecodedProgram::build(&p).methods {
-            let mut targets = vec![false; dm.base.len()];
-            for op in &dm.base {
+            let mut targets = vec![false; dm.quick.len()];
+            for op in &dm.quick {
                 if matches!(op.code, OpCode::Goto | OpCode::If | OpCode::IfNot | OpCode::IfNull) {
                     targets[op.a as usize] = true;
                 }
@@ -794,18 +794,20 @@ mod tests {
         let dm = &d.methods[entry.0 as usize];
         let callee = &p.methods[helper_id.0 as usize];
         let (mut seen_static, mut sites) = (false, Vec::new());
-        for (pc, q) in dm.quick.iter().enumerate() {
+        for (q, insn) in dm.quick.iter().zip(&p.method(entry).code) {
+            // What `Match` dispatches at the same pc.
+            let plain = decode_one(*insn, &p);
             match q.code {
                 OpCode::InvokeStatic => {
                     seen_static = true;
                     assert_eq!(q.b, u32::from(callee.n_args));
                     assert_eq!(q.imm, i64::from(callee.n_locals));
-                    // Base stream keeps the undecorated operands.
-                    assert_eq!(dm.base[pc].b, 0);
+                    // The unquickened form keeps the undecorated operands.
+                    assert_eq!(plain.b, 0);
                 }
                 OpCode::InvokeVirtual => {
                     sites.push(q.imm);
-                    assert_eq!(dm.base[pc].imm, NO_IC, "base stream has no IC site");
+                    assert_eq!(plain.imm, NO_IC, "unquickened form has no IC site");
                 }
                 _ => {}
             }

@@ -31,11 +31,11 @@ use std::sync::Arc;
 
 /// How the interpreter fetches and dispatches instructions.
 ///
-/// All engines execute through the same segment executor and are
-/// byte-identical in every observable respect (counters, schedules,
-/// outputs, logs); they differ only in host-time cost. `Match` exists as
-/// the measured baseline for the decoded-dispatch speedup, `Decoded` as
-/// the measured baseline for the fusion/quickening/inline-cache tier.
+/// Two engines: the fast one and its reference. Both execute through the
+/// same segment executor and are byte-identical in every observable
+/// respect (counters, schedules, outputs, logs); they differ only in
+/// host-time cost. `Match` is the oracle the fused engine is checked
+/// against and the measured baseline for its speedup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchEngine {
     /// Execute the fused stream: the pre-decoded form with hot
@@ -44,11 +44,9 @@ pub enum DispatchEngine {
     /// sites. The fast default.
     #[default]
     Fused,
-    /// Execute the plain pre-decoded flat stream built once at VM start
-    /// (resolved operands, pre-classified ops) with no fusion tier.
-    Decoded,
-    /// Re-decode each `Insn` from the original program on every fetch —
-    /// the per-unit `match`-dispatch cost the decoded engine amortizes.
+    /// Re-decode each `Insn` from the original program on every fetch,
+    /// unquickened and unfused — the per-unit `match`-dispatch cost the
+    /// pre-decoded streams amortize.
     Match,
 }
 

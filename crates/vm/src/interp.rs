@@ -929,12 +929,10 @@ pub(crate) fn exec_segment(
         return Err(VmError::Internal("exec_segment requires a dispatched thread".into()));
     };
     let program = core.program.clone();
-    let engine = core.cfg.engine;
-    let decoded = match engine {
-        DispatchEngine::Fused | DispatchEngine::Decoded => Some(core.decoded.clone()),
+    let decoded = match core.cfg.engine {
+        DispatchEngine::Fused => Some(core.decoded.clone()),
         DispatchEngine::Match => None,
     };
-    let fused = engine == DispatchEngine::Fused;
     let insn_base = core.cfg.cost.insn_base;
     let branch_extra = core.cfg.cost.branch_extra;
     let mut executed = 0u64;
@@ -965,7 +963,6 @@ pub(crate) fn exec_segment(
                 class_objects,
                 &program,
                 decoded.as_deref(),
-                fused,
                 budget - executed,
                 stop_br,
             )?
@@ -1008,7 +1005,7 @@ pub(crate) fn exec_segment(
                 if let Some(p) = core.profile.as_mut() {
                     p.note_break(op.code);
                 }
-                if fused {
+                if decoded.is_some() {
                     // Quickened: the callee's frame shape was folded into
                     // the op at decode time, so the invoke prologue skips
                     // the method-table read entirely.
@@ -1036,8 +1033,8 @@ pub(crate) fn exec_segment(
                     }
                 };
                 let class = r.and_then(|r| core.heap.class_of(r));
-                // Monomorphic inline cache (fused stream only: `op.imm`
-                // is the decode-time site id, `NO_IC` elsewhere). A hit
+                // Monomorphic inline cache (decoded streams only: `op.imm`
+                // is the decode-time site id, `NO_IC` under `Match`). A hit
                 // skips the vtable walk and the method-table reads; the
                 // cached facts are those the resolve below would produce,
                 // so the hit and miss paths are observably identical.
@@ -1135,7 +1132,7 @@ pub(crate) fn exec_segment(
                 if let Some(p) = core.profile.as_mut() {
                     p.note_break(op.code);
                 }
-                let arr = if let (true, Some(d)) = (fused, decoded.as_deref()) {
+                let arr = if let Some(d) = decoded.as_deref() {
                     // Quickened: copy the pre-materialized value template
                     // built at decode time instead of re-walking UTF-8.
                     let tpl = &d.strings[op.a as usize];
@@ -1223,7 +1220,6 @@ fn fast_run(
     class_objects: &[ObjRef],
     program: &Program,
     decoded: Option<&DecodedProgram>,
-    fused: bool,
     remaining: u64,
     stop_br: Option<u64>,
 ) -> Result<(u64, u64, FastExit), VmError> {
@@ -1234,16 +1230,12 @@ fn fast_run(
     };
     let crate::thread::Frame { method, pc, locals, stack, .. } = frame;
     let method = *method;
-    // Dispatch stream and (fused engine only) the quickened-singles
-    // fallback stream for superinstructions that don't fit the budget.
+    // Dispatch stream and the quickened-singles fallback stream for
+    // superinstructions that don't fit the budget (`Match`: neither).
     let (dops, qops): (Option<&[DOp]>, &[DOp]) = match decoded {
         Some(d) => {
             let m = &d.methods[method.0 as usize];
-            if fused {
-                (Some(m.fused.as_slice()), m.quick.as_slice())
-            } else {
-                (Some(m.base.as_slice()), &[])
-            }
+            (Some(m.fused.as_slice()), m.quick.as_slice())
         }
         None => (None, &[]),
     };

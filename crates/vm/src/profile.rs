@@ -79,9 +79,12 @@ impl OpProfiler {
         self.singles.values().sum()
     }
 
-    fn ranked<K: Copy>(map: &HashMap<K, u64>) -> Vec<(K, u64)> {
+    /// Entries by descending count, ties broken on the key, so the
+    /// listing (and which entries make a top-n cut) does not depend on
+    /// `HashMap` iteration order.
+    fn ranked<K: Copy + Ord>(map: &HashMap<K, u64>) -> Vec<(K, u64)> {
         let mut v: Vec<(K, u64)> = map.iter().map(|(k, c)| (*k, *c)).collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        v.sort_unstable_by_key(|&(k, c)| (std::cmp::Reverse(c), k));
         v
     }
 
@@ -142,5 +145,28 @@ mod tests {
         p.merge(&q);
         assert_eq!(p.singles[&OpCode::Load], 2);
         assert_eq!(p.digrams[&[OpCode::Load, OpCode::Store]], 1);
+    }
+
+    #[test]
+    fn report_orders_ties_by_key_not_insertion() {
+        // Equal counts everywhere: only the tie rule decides the order
+        // and the top-2 cut.
+        let ops = [OpCode::Goto, OpCode::Shr, OpCode::Store, OpCode::Dup, OpCode::Load];
+        let feed = |order: &[OpCode]| {
+            let mut p = OpProfiler::new();
+            for &k in order {
+                p.singles.insert(k, 3);
+                p.digrams.insert([k, OpCode::Nop], 3);
+                p.trigrams.insert([k, k, OpCode::Nop], 3);
+            }
+            p
+        };
+        let mut reversed = ops;
+        reversed.reverse();
+        let report = feed(&ops).report(2);
+        assert_eq!(report, feed(&reversed).report(2));
+        // Discriminant order: Dup < Load < Store < Shr < Goto.
+        assert!(report.contains("Dup") && report.contains("Load"));
+        assert!(!report.contains("Store") && !report.contains("Goto"));
     }
 }

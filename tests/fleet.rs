@@ -142,12 +142,13 @@ fn fleet_fingerprint(cfg: &FleetConfig) -> u32 {
 }
 
 /// The fleet's simulated numbers against constants, not only against a
-/// rerun: the 64-pair default (trunk about 28% busy) and the 512-pair
-/// rack-partition scenario the benchmark runs (81% busy), each at one,
-/// two and four worker threads. Captured from the `BTreeMap` trunk
-/// calendar immediately before it was replaced; any change to where a
-/// frame is placed on the trunk moves a queue wait and with it a pair's
-/// timeline.
+/// rerun: the 64-pair default (trunk about 28% busy), the 512-pair
+/// rack-partition scenario the benchmark runs (81% busy), and the
+/// 64-pair rack-partition scenario of the `fleet` bin, each at one, two
+/// and four worker threads. The first two were captured from the
+/// `BTreeMap` trunk calendar immediately before it was replaced; any
+/// change to where a frame is placed on the trunk moves a queue wait and
+/// with it a pair's timeline.
 #[test]
 fn fleet_fingerprints_are_pinned() {
     let cases = [
@@ -156,6 +157,11 @@ fn fleet_fingerprints_are_pinned() {
             "full-512",
             FleetConfig { pairs: 512, partition_rack: Some(5), ..FleetConfig::default() },
             0x54e0_7135,
+        ),
+        (
+            "smoke-64-rack5",
+            FleetConfig { pairs: 64, partition_rack: Some(5), ..FleetConfig::default() },
+            0x2398_2fad,
         ),
     ];
     let mut wrong = Vec::new();

@@ -3,9 +3,9 @@
 //! quickening + inline-cache tier on top of it — must be
 //! **observationally invisible** to the replication layer. Across all six
 //! SPEC JVM98 analogs, both replication techniques, and both wire codecs,
-//! the fused engine, the plain decoded engine, and the per-op `match`
-//! engine must ship byte-identical log frames and produce identical
-//! console output; varying the block cap may shift simulated-time
+//! the fused engine and the per-op `match` engine it is checked against
+//! must ship byte-identical log frames and produce identical console
+//! output; varying the block cap may shift simulated-time
 //! bookkeeping (heartbeat instants) but never the logged record sequence
 //! or the outputs (at `cap=1` no superinstruction ever fits the budget,
 //! so cap-invariance doubles as the fusion-off equivalence proof); and a
@@ -34,12 +34,12 @@ fn primary_artifacts(w: &Workload, cfg: FtConfig) -> (Vec<Vec<u8>>, Vec<String>)
     (frames, texts)
 }
 
-/// All three engines, both techniques, both codecs, every SPEC analog:
-/// neither the decoded engine nor the fused superinstruction tier may
-/// change a single byte of the replication log or of the committed
-/// output relative to the per-op `match` baseline.
+/// Both engines, both techniques, both codecs, every SPEC analog: the
+/// fused superinstruction tier may not change a single byte of the
+/// replication log or of the committed output relative to the per-op
+/// `match` baseline.
 #[test]
-fn fused_decoded_and_match_logs_are_byte_identical() {
+fn fused_and_match_logs_are_byte_identical() {
     for w in workloads::spec_suite() {
         for mode in [ReplicationMode::LockSync, ReplicationMode::ThreadSched] {
             for codec in [WireCodec::Fixed, WireCodec::Compact] {
@@ -49,22 +49,16 @@ fn fused_decoded_and_match_logs_are_byte_identical() {
                     cfg
                 };
                 let (mat_frames, mat_out) = primary_artifacts(&w, cfg(DispatchEngine::Match));
-                for engine in [DispatchEngine::Fused, DispatchEngine::Decoded] {
-                    let (frames, out) = primary_artifacts(&w, cfg(engine));
-                    assert_eq!(
-                        out, mat_out,
-                        "{} {mode} {codec} {engine:?}: outputs differ",
-                        w.name
-                    );
-                    assert_eq!(
-                        frames.len(),
-                        mat_frames.len(),
-                        "{} {mode} {codec} {engine:?}: frame counts differ",
-                        w.name
-                    );
-                    for (i, (a, b)) in frames.iter().zip(&mat_frames).enumerate() {
-                        assert_eq!(a, b, "{} {mode} {codec} {engine:?}: frame {i} differs", w.name);
-                    }
+                let (frames, out) = primary_artifacts(&w, cfg(DispatchEngine::Fused));
+                assert_eq!(out, mat_out, "{} {mode} {codec}: outputs differ", w.name);
+                assert_eq!(
+                    frames.len(),
+                    mat_frames.len(),
+                    "{} {mode} {codec}: frame counts differ",
+                    w.name
+                );
+                for (i, (a, b)) in frames.iter().zip(&mat_frames).enumerate() {
+                    assert_eq!(a, b, "{} {mode} {codec}: frame {i} differs", w.name);
                 }
             }
         }
@@ -160,15 +154,15 @@ fn block_cap_never_changes_records_or_outputs() {
 /// longer fits the budget the executor walks its constituent singles one
 /// unit at a time), so the cut pc can rest on an interior slot of a
 /// fused region; the restore must resume through those interior singles
-/// and re-enter superinstruction dispatch at the next fusion start. All
-/// three engines must agree on the final outputs and instruction count,
+/// and re-enter superinstruction dispatch at the next fusion start. Both
+/// engines must agree on the final outputs and instruction count,
 /// and inline caches (transient, per-replica) must rewarm invisibly
 /// after the restore.
 #[test]
 fn mid_block_snapshot_restores_exactly() {
     let w = workloads::micro::sync_counter(2, 60);
     let mut finals: Vec<(Vec<String>, u64)> = Vec::new();
-    for engine in [DispatchEngine::Fused, DispatchEngine::Decoded, DispatchEngine::Match] {
+    for engine in [DispatchEngine::Fused, DispatchEngine::Match] {
         let cfg = VmConfig { quantum: 50, quantum_jitter: 30, engine, ..VmConfig::default() };
 
         let uninterrupted = {
@@ -225,6 +219,5 @@ fn mid_block_snapshot_restores_exactly() {
         );
         finals.push(uninterrupted);
     }
-    assert_eq!(finals[0], finals[1], "fused vs decoded finals differ");
-    assert_eq!(finals[1], finals[2], "decoded vs match finals differ");
+    assert_eq!(finals[0], finals[1], "fused vs match finals differ");
 }
