@@ -1,34 +1,39 @@
 //! The backup-side recovery runtime: the received log, the shared
-//! non-deterministic-native replay, and the two recovery coordinators.
+//! non-deterministic-native replay, and the backup coordinator.
 //!
 //! The backup is *cold* (§1): during normal operation it only stores the
 //! primary's records. On failure it re-executes the program from the
 //! initial state, using the log to make every non-deterministic choice the
-//! way the primary made it:
+//! way the primary made it. [`Backup`] does so per technique (§4.2):
 //!
-//! * [`LockSyncBackup`] reproduces the primary's per-lock acquisition
-//!   order from lock-acquisition records and id maps (§4.2), including the
-//!   end-of-log rules for threads that run past their logged history;
-//! * [`TsBackup`] reproduces the primary's thread schedule from schedule
-//!   records, stopping each thread at exactly the recorded
-//!   `(br_cnt, pc_off, mon_cnt)` point — including preemptions inside
-//!   native methods, replayed via `mon_cnt` — and scheduling the recorded
-//!   next thread (§4.2);
-//! * [`NativeReplay`] (shared) imposes logged ND native results, suppresses
-//!   already-performed outputs, `test`s the uncertain last output, and
-//!   hands out fresh output ids once execution passes the end of the log
-//!   (§3.4, §4.1).
+//! * under *replicated lock synchronization* it reproduces the primary's
+//!   per-lock acquisition order from lock-acquisition records and id maps,
+//!   including the end-of-log rules for threads that run past their logged
+//!   history — or, interval-compressed, the total acquisition order;
+//! * under *replicated thread scheduling* it reproduces the primary's
+//!   thread schedule from schedule records, stopping each thread at
+//!   exactly the recorded `(br_cnt, pc_off, mon_cnt)` point — including
+//!   preemptions inside native methods, replayed via `mon_cnt` — and
+//!   scheduling the recorded next thread;
+//!
+//! and under both, [`NativeReplay`] imposes logged ND native results,
+//! suppresses already-performed outputs, `test`s the uncertain last
+//! output, and hands out fresh output ids once execution passes the end
+//! of the log (§3.4, §4.1).
 
 use crate::codec::{
     frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk, open_frame,
     parse_epoch_frame, RecordDecoder, SnapshotAssembler,
 };
+use crate::ftjvm::Technique;
+use crate::primary::branch_counts;
 use crate::records::{sig_hash, LoggedResult, Record};
 use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{Category, CostModel, SimTime, TimeAccount};
 use ftjvm_vm::coordinator::Pick;
+use ftjvm_vm::exec::VmCore;
 use ftjvm_vm::native::NativeDecl;
 use ftjvm_vm::ThreadIdx;
 use ftjvm_vm::{
@@ -305,7 +310,7 @@ pub(crate) struct PromotionParts {
 
 /// Shared backup-side native replay (ND results, outputs, exactly-once).
 ///
-/// Owns the [`BackupLog`] the coordinators consume from. In *cold* replay
+/// Owns the [`BackupLog`] the coordinator consumes from. In *cold* replay
 /// the log is complete at construction (`eof` is true from the start); in
 /// *streaming* (hot-standby) replay the log grows via `feed_frame` while
 /// the primary is still running and `eof` flips only at promotion (or once
@@ -730,146 +735,55 @@ impl NativeReplay {
     }
 }
 
-/// Backup coordinator for **replicated lock synchronization** recovery.
-#[derive(Debug)]
-pub struct LockSyncBackup {
-    replay: NativeReplay,
-}
-
-impl LockSyncBackup {
-    /// Builds a cold-replay coordinator from a complete decoded log.
-    pub fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        LockSyncBackup { replay: NativeReplay::new(log, world, se, cost) }
-    }
-
-    /// Builds a hot-standby (streaming) coordinator whose log starts empty
-    /// and grows via [`feed_frame`](LockSyncBackup::feed_frame).
-    pub fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        LockSyncBackup { replay: NativeReplay::streaming(world, se, cost) }
-    }
-
-    /// Builds a streaming coordinator resumed from an epoch snapshot
-    /// (re-integration of a replacement backup). The VM it coordinates was
-    /// restored from the snapshot — monitors already carry their `l_id`
-    /// and `l_asn` state, so only the replication-layer seed is needed.
-    ///
-    /// # Errors
-    /// Returns an error if the seed is malformed.
-    pub fn resumed(
-        world: SharedWorld,
-        se: SeRegistry,
-        cost: CostModel,
-        seed: ResumeSeed,
-    ) -> Result<Self, VmError> {
-        Ok(LockSyncBackup { replay: NativeReplay::resumed(world, se, cost, seed)? })
-    }
-
-    /// Epoch marks absorbed from the stream (the backup's epoch ack).
-    pub fn epochs_absorbed(&self) -> u64 {
-        self.replay.epochs_absorbed
-    }
-
-    /// Streams one arrived frame into the log; returns the number of
-    /// heartbeat records it carried.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frame(&mut self, frame: Bytes) -> Result<u32, VmError> {
-        self.replay.feed_frame(frame)
-    }
-
-    /// Promotes a streaming backup: no further records can arrive.
-    pub fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &TimeAccount) {
-        self.replay.finish(env);
-        if self.replay.log.lock_total == 0 {
-            self.replay.mark_recovery_complete(acct);
-        }
-    }
-
-    /// Backup-side statistics.
-    pub fn stats(&self) -> &ReplicationStats {
-        &self.replay.stats
-    }
-
-    /// True once the stream ended and every lock record was consumed.
-    pub fn recovery_complete(&self) -> bool {
-        self.replay.eof && self.replay.log.lock_total == 0
-    }
-
-    /// Replay records (of every class) still unconsumed — promotion must
-    /// wait for zero.
-    pub(crate) fn replay_pending(&self) -> u64 {
-        self.replay.pending_records()
-    }
-
-    /// Simulated instant at which the log replay finished.
-    pub fn recovery_completed_at(&self) -> Option<ftjvm_netsim::SimTime> {
-        self.replay.recovery_completed_at
-    }
-
-    /// Consumes the coordinator for promotion to primary (see
-    /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
-        self.replay.into_promotion_parts()
-    }
-}
-
-impl Coordinator for LockSyncBackup {
-    fn mode(&self) -> &'static str {
-        "lock-sync-backup"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.replay.take_stop()
-    }
-
-    fn pre_monitor_acquire(
+/// The lock-synchronization replay rules, per acquisition and
+/// interval-compressed, over the log `NativeReplay` owns.
+impl NativeReplay {
+    /// May `t` acquire the monitor now? Reproduces the primary's per-lock
+    /// acquisition order from lock-acquisition records and id maps (§4.2),
+    /// including the end-of-log rules for threads that run past their
+    /// logged history.
+    fn lock_pre_acquire(
         &mut self,
         t: &ThreadObs<'_>,
-        _obj: ObjRef,
         l_id: Option<u64>,
         l_asn: u64,
     ) -> MonitorDecision {
-        if self.replay.eof && self.replay.log.lock_total == 0 {
+        if self.eof && self.log.lock_total == 0 {
             // End of recovery: the log has no more lock-acquisition
             // records, so ordering constraints are over (§4.2).
             return MonitorDecision::Grant;
         }
         let Some(vt) = t.vt else {
-            self.replay.fail_replay(
+            self.fail_replay(
                 t.t,
                 ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
             );
             return MonitorDecision::Grant;
         };
-        let Some(rec) = self.replay.log.lock_acqs.get(vt).and_then(|q| q.front()) else {
+        let Some(rec) = self.log.lock_acqs.get(vt).and_then(|q| q.front()) else {
             // This thread ran past its (arrived) logged history; it must
             // wait — for more frames while streaming, or for the whole log
             // to drain — before acquiring anything new.
             return MonitorDecision::Defer;
         };
         if rec.t_asn != t.t_asn + 1 {
-            self.replay.fail(
-                t.t,
-                format!(
-                    "lock record t_asn {} but thread is at acquisition {}",
-                    rec.t_asn,
-                    t.t_asn + 1
-                ),
+            let detail = format!(
+                "lock record t_asn {} but thread is at acquisition {}",
+                rec.t_asn,
+                t.t_asn + 1
             );
+            self.fail(t.t, detail);
             return MonitorDecision::Grant;
         }
         match l_id {
             Some(id) => {
                 if rec.l_id != id {
-                    self.replay.fail(
-                        t.t,
-                        format!(
-                            "thread's next logged acquisition is lock {} but it is acquiring lock {id} — \
-                             a data race (R4A violation) changed the acquisition sequence",
-                            rec.l_id
-                        ),
+                    let detail = format!(
+                        "thread's next logged acquisition is lock {} but it is acquiring lock {id} — \
+                         a data race (R4A violation) changed the acquisition sequence",
+                        rec.l_id
                     );
+                    self.fail(t.t, detail);
                     return MonitorDecision::Grant;
                 }
                 if rec.l_asn == l_asn + 1 {
@@ -882,7 +796,7 @@ impl Coordinator for LockSyncBackup {
             None => {
                 // The lock has no id at the backup yet. If this thread
                 // assigned the id at the primary, its id map names it.
-                if self.replay.log.id_maps.contains_key(&(vt.clone(), t.t_asn + 1)) {
+                if self.log.id_maps.contains_key(&(vt.clone(), t.t_asn + 1)) {
                     if rec.l_asn == l_asn + 1 {
                         MonitorDecision::Grant
                     } else {
@@ -892,7 +806,7 @@ impl Coordinator for LockSyncBackup {
                     // First acquisition of the lock but no id map: the map
                     // cannot have been lost without the (later) acquisition
                     // record also being lost.
-                    self.replay.fail(t.t, "acquisition record without its id map".into());
+                    self.fail(t.t, "acquisition record without its id map".into());
                     MonitorDecision::Grant
                 } else {
                     // Another thread assigns this lock's id; wait for it.
@@ -902,44 +816,43 @@ impl Coordinator for LockSyncBackup {
         }
     }
 
-    fn post_monitor_acquire(
+    /// Consumes the lock record of a granted acquisition, claiming the
+    /// thread's id map on a lock's first acquisition.
+    fn lock_post_acquire(
         &mut self,
         t: &ThreadObs<'_>,
-        _obj: ObjRef,
         l_id: Option<u64>,
         l_asn: u64,
-        _acct: &mut TimeAccount,
+        acct: &mut TimeAccount,
     ) -> Option<u64> {
-        if self.replay.eof && self.replay.log.lock_total == 0 {
+        if self.eof && self.log.lock_total == 0 {
             return None; // live phase
         }
         let Some(vt) = t.vt else {
-            self.replay.fail_replay(
+            self.fail_replay(
                 t.t,
                 ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
             );
             return None;
         };
-        let Some(rec) = self.replay.log.lock_acqs.get_mut(vt).and_then(|q| q.pop_front()) else {
-            self.replay.fail(t.t, "granted an acquisition with no record to consume".into());
+        let Some(rec) = self.log.lock_acqs.get_mut(vt).and_then(|q| q.pop_front()) else {
+            self.fail(t.t, "granted an acquisition with no record to consume".into());
             return None;
         };
-        self.replay.log.lock_total -= 1;
-        if self.replay.log.lock_total == 0 && self.replay.eof {
-            self.replay.mark_recovery_complete(_acct);
+        self.log.lock_total -= 1;
+        if self.log.lock_total == 0 && self.eof {
+            self.mark_recovery_complete(acct);
         }
-        self.replay.stats.locks_acquired += 1;
+        self.stats.locks_acquired += 1;
         // Replay bookkeeping: locating and consuming the record costs
         // about what creating it did (no communication, though).
-        _acct.charge(Category::LockAcquire, self.replay.cost.lock_record);
+        acct.charge(Category::LockAcquire, self.cost.lock_record);
         if rec.l_asn != l_asn || rec.t_asn != t.t_asn {
-            self.replay.fail(
-                t.t,
-                format!(
-                    "acquisition replayed at (t_asn {}, l_asn {l_asn}) but record says ({}, {})",
-                    t.t_asn, rec.t_asn, rec.l_asn
-                ),
+            let detail = format!(
+                "acquisition replayed at (t_asn {}, l_asn {l_asn}) but record says ({}, {})",
+                t.t_asn, rec.t_asn, rec.l_asn
             );
+            self.fail(t.t, detail);
         }
         match l_id {
             Some(id) => {
@@ -949,21 +862,19 @@ impl Coordinator for LockSyncBackup {
             None => {
                 // Claim this thread's id map (§4.2): it must exist, since
                 // pre granted the first acquisition only on a map match.
-                match self.replay.log.id_maps.remove(&(vt.clone(), t.t_asn)) {
+                match self.log.id_maps.remove(&(vt.clone(), t.t_asn)) {
                     Some(mapped) => {
                         if mapped != rec.l_id {
-                            self.replay.fail(
-                                t.t,
-                                format!(
-                                    "id map assigns lock {mapped} but record names lock {}",
-                                    rec.l_id
-                                ),
+                            let detail = format!(
+                                "id map assigns lock {mapped} but record names lock {}",
+                                rec.l_id
                             );
+                            self.fail(t.t, detail);
                         }
                         Some(rec.l_id)
                     }
                     None => {
-                        self.replay.fail(t.t, "first acquisition granted without an id map".into());
+                        self.fail(t.t, "first acquisition granted without an id map".into());
                         Some(rec.l_id)
                     }
                 }
@@ -971,50 +882,67 @@ impl Coordinator for LockSyncBackup {
         }
     }
 
-    fn pre_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.replay.directive(t, decl, acct)
-    }
-
-    fn begin_output(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.replay.live_output(acct)
-    }
-
-    fn native_ready(&mut self, t: &ThreadObs<'_>, decl: &NativeDecl) -> bool {
-        self.replay.ready_for(t, decl)
-    }
-
-    fn starved(&mut self) -> bool {
-        // Pre-eof stalls are starvation, not divergence: the replay caught
-        // up with the arrived log and must pause until the next frame.
-        !self.replay.eof
-    }
-
-    fn on_stall(&mut self, _acct: &mut TimeAccount) -> bool {
-        if self.replay.log.lock_total > 0 {
-            // Locks records remain but nobody can consume them: the
-            // replayed execution diverged (typically a data race, Fig. 1).
-            self.replay.error.get_or_insert(VmError::ReplayDivergence {
-                thread: ThreadIdx(0),
-                detail: format!(
-                    "recovery stalled with {} unconsumed lock-acquisition records — \
-                     the replay diverged from the primary (R4A violation?)",
-                    self.replay.log.lock_total
-                ),
-            });
-            return true;
+    /// May `t` acquire a monitor now? Under interval compression only the
+    /// thread of the front interval may; everyone else defers.
+    fn interval_pre_acquire(&mut self, t: &ThreadObs<'_>) -> MonitorDecision {
+        let Some(front) = self.log.intervals.front() else {
+            if self.eof {
+                return MonitorDecision::Grant; // end of recovery
+            }
+            // Streaming: the interval covering this acquisition has not
+            // arrived (the primary's current interval is still open).
+            return MonitorDecision::Defer;
+        };
+        let Some(vt) = t.vt else {
+            self.fail_replay(
+                t.t,
+                ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
+            );
+            return MonitorDecision::Grant;
+        };
+        if &front.t == vt {
+            MonitorDecision::Grant
+        } else {
+            MonitorDecision::Defer
         }
-        false
+    }
+
+    /// Consumes one acquisition of the front interval.
+    fn interval_post_acquire(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) {
+        let Some(vt) = t.vt else {
+            self.fail_replay(
+                t.t,
+                ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
+            );
+            return;
+        };
+        let expected = match self.log.intervals.front() {
+            None => return, // live phase
+            Some(front) if &front.t != vt => {
+                self.fail(t.t, "acquisition granted outside the current interval".into());
+                return;
+            }
+            // t_asn ordering inside the interval.
+            Some(front) => front.t_asn_start + (front.count - front.remaining),
+        };
+        if t.t_asn != expected {
+            let detail = format!("interval expected acquisition t_asn {expected}, got {}", t.t_asn);
+            self.fail(t.t, detail);
+        }
+        acct.charge(Category::LockAcquire, self.cost.interval_update);
+        self.log.interval_total -= 1;
+        let Some(front) = self.log.intervals.front_mut() else {
+            self.fail_replay(t.t, ReplayError::EmptyRecordQueue { what: "lock interval" });
+            return;
+        };
+        front.remaining -= 1;
+        if front.remaining == 0 {
+            self.log.intervals.pop_front();
+        }
+        self.stats.locks_acquired += 1;
+        if self.log.interval_total == 0 && self.eof {
+            self.mark_recovery_complete(acct);
+        }
     }
 }
 
@@ -1048,50 +976,94 @@ enum PendingSwitch {
     Exit(VtPath),
 }
 
-/// Backup coordinator for **replicated thread scheduling** recovery.
+/// The backup coordinator (§4.2): [`NativeReplay`] plus the replay state
+/// of the technique whose records it consumes. The native, output and
+/// stream handling is shared; the technique decides who may acquire a
+/// monitor or run next.
 #[derive(Debug)]
-pub struct TsBackup {
+pub struct Backup {
     replay: NativeReplay,
-    last_br: HashMap<u32, u64>,
-    /// The thread the replay says must run now; `None` once recovery is
-    /// over and free scheduling resumes.
-    designated: Option<VtPath>,
-    /// Streaming only: a switch waiting for its schedule record.
-    pending: Option<PendingSwitch>,
+    state: BackupState,
 }
 
-impl TsBackup {
+#[derive(Debug)]
+enum BackupState {
+    /// Replicated lock synchronization: the per-lock acquisition order.
+    Lock,
+    /// Interval-compressed lock synchronization: the total acquisition
+    /// order recorded as [`Record::LockInterval`]s.
+    Interval,
+    /// Replicated thread scheduling: the primary's schedule, each thread
+    /// stopped at exactly the recorded `(br_cnt, pc_off, mon_cnt)` point —
+    /// including preemptions inside native methods, replayed via
+    /// `mon_cnt` — and the recorded next thread scheduled.
+    Ts {
+        /// Last observed `br_cnt` per thread (progress-cost accounting).
+        last_br: HashMap<u32, u64>,
+        /// The thread the replay says must run now; `None` once recovery
+        /// is over and free scheduling resumes.
+        designated: Option<VtPath>,
+        /// Streaming only: a switch waiting for its schedule record.
+        pending: Option<PendingSwitch>,
+    },
+}
+
+impl BackupState {
+    /// Replay state at the start of the program. Execution always begins
+    /// with the root thread; even with no schedule records
+    /// (single-threaded programs) the root stays designated until its
+    /// logged natives/outputs drain (the paper's final-record rule).
+    fn at_start(technique: Technique) -> Self {
+        match technique {
+            Technique::Lock => BackupState::Lock,
+            Technique::Interval => BackupState::Interval,
+            Technique::ThreadSched => BackupState::Ts {
+                last_br: HashMap::new(),
+                designated: Some(VtPath::root()),
+                pending: None,
+            },
+        }
+    }
+}
+
+impl Backup {
     /// Builds a cold-replay coordinator from a complete decoded log.
-    pub fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        let replay = NativeReplay::new(log, world, se, cost);
-        // Execution always begins with the root thread; even with no
-        // schedule records (single-threaded programs) the root stays
-        // designated until its logged natives/outputs drain (the paper's
-        // final-record rule).
-        TsBackup {
-            replay,
-            last_br: HashMap::new(),
-            designated: Some(VtPath::root()),
-            pending: None,
+    pub fn new(
+        log: BackupLog,
+        world: SharedWorld,
+        se: SeRegistry,
+        cost: CostModel,
+        technique: Technique,
+    ) -> Self {
+        Backup {
+            replay: NativeReplay::new(log, world, se, cost),
+            state: BackupState::at_start(technique),
         }
     }
 
     /// Builds a hot-standby (streaming) coordinator whose log starts empty
-    /// and grows via [`feed_frame`](TsBackup::feed_frame).
-    pub fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        TsBackup {
+    /// and grows via [`feed_frame`](Backup::feed_frame).
+    pub fn streaming(
+        world: SharedWorld,
+        se: SeRegistry,
+        cost: CostModel,
+        technique: Technique,
+    ) -> Self {
+        Backup {
             replay: NativeReplay::streaming(world, se, cost),
-            last_br: HashMap::new(),
-            designated: Some(VtPath::root()),
-            pending: None,
+            state: BackupState::at_start(technique),
         }
     }
 
-    /// Builds a streaming coordinator resumed from an epoch snapshot.
-    /// `designated` is the application thread that was current on the
-    /// primary at the cut (it runs until its next schedule record);
-    /// `last_br` seeds the per-thread branch counters from the restored
-    /// VM so progress-cost accounting continues rather than restarting.
+    /// Builds a streaming coordinator resumed from an epoch snapshot
+    /// (re-integration of a replacement backup) over `vm`, the VM restored
+    /// from it. Monitors already carry their `l_id` and `l_asn` state, so
+    /// lock replay needs only the replication-layer seed. Schedule replay
+    /// designates the application thread that was current on the primary
+    /// at the cut — a cut never lands with a schedule record
+    /// half-captured, so it runs until its next record — and seeds the
+    /// per-thread branch counters from the restored threads so
+    /// progress-cost accounting continues rather than restarting.
     ///
     /// # Errors
     /// Returns an error if the seed is malformed.
@@ -1100,15 +1072,25 @@ impl TsBackup {
         se: SeRegistry,
         cost: CostModel,
         seed: ResumeSeed,
-        designated: Option<VtPath>,
-        last_br: HashMap<u32, u64>,
+        technique: Technique,
+        vm: &VmCore,
     ) -> Result<Self, VmError> {
-        Ok(TsBackup {
-            replay: NativeReplay::resumed(world, se, cost, seed)?,
-            last_br,
-            designated,
-            pending: None,
-        })
+        let state = match technique {
+            Technique::ThreadSched => {
+                let designated = vm
+                    .current
+                    .and_then(|idx| vm.threads.get(idx.0 as usize))
+                    .and_then(|t| t.vt.clone())
+                    .unwrap_or_else(VtPath::root);
+                BackupState::Ts {
+                    last_br: branch_counts(vm),
+                    designated: Some(designated),
+                    pending: None,
+                }
+            }
+            lock => BackupState::at_start(lock),
+        };
+        Ok(Backup { replay: NativeReplay::resumed(world, se, cost, seed)?, state })
     }
 
     /// Epoch marks absorbed from the stream (the backup's epoch ack).
@@ -1124,87 +1106,48 @@ impl TsBackup {
     /// Returns an error for a malformed frame (a protocol bug).
     pub fn feed_frame(&mut self, frame: Bytes, acct: &mut TimeAccount) -> Result<u32, VmError> {
         let heartbeats = self.replay.feed_frame(frame)?;
-        self.drain_pending(acct);
+        if let BackupState::Ts { designated, pending, .. } = &mut self.state {
+            drain_pending(&mut self.replay, designated, pending, acct);
+        }
         Ok(heartbeats)
     }
 
     /// Promotes a streaming backup: no further records can arrive.
     pub fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &mut TimeAccount) {
-        self.replay.finish(env);
-        self.drain_pending(acct);
-        if self.replay.log.sched.is_empty() {
-            match self.pending.take() {
-                Some(PendingSwitch::Exit(vt)) => {
-                    // The exit's schedule record was lost in the crash.
-                    if self.replay.drained_for(&vt) {
-                        self.designated = None;
-                    } else {
-                        self.replay.fail(
-                            ThreadIdx(0),
-                            "designated thread exited with logged interactions left to reproduce"
-                                .into(),
-                        );
+        let replay = &mut self.replay;
+        replay.finish(env);
+        let complete = match &mut self.state {
+            BackupState::Lock => replay.log.lock_total == 0,
+            BackupState::Interval => replay.log.interval_total == 0,
+            BackupState::Ts { designated, pending, .. } => {
+                drain_pending(replay, designated, pending, acct);
+                if replay.log.sched.is_empty() {
+                    match pending.take() {
+                        Some(PendingSwitch::Exit(vt)) => {
+                            // The exit's schedule record was lost in the crash.
+                            if replay.drained_for(&vt) {
+                                *designated = None;
+                            } else {
+                                replay.fail(
+                                    ThreadIdx(0),
+                                    "designated thread exited with logged interactions left to \
+                                     reproduce"
+                                        .into(),
+                                );
+                            }
+                        }
+                        // A lost blocking-switch record: the log simply ends
+                        // at the block; `maybe_finish` decides whether
+                        // replay is over.
+                        Some(PendingSwitch::Block { .. }) | None => {}
                     }
                 }
-                // A lost blocking-switch record: the log simply ends at the
-                // block; `maybe_finish` decides whether replay is over.
-                Some(PendingSwitch::Block { .. }) | None => {}
+                maybe_finish(replay, designated);
+                designated.is_none()
             }
-        }
-        self.maybe_finish();
-        if self.designated.is_none() {
-            self.replay.mark_recovery_complete(acct);
-        }
-    }
-
-    /// Matches a pending switch against a newly arrived schedule record.
-    fn drain_pending(&mut self, acct: &mut TimeAccount) {
-        let Some(p) = &self.pending else { return };
-        let Some(rec) = self.replay.log.sched.front() else { return };
-        match p {
-            PendingSwitch::Block {
-                t,
-                vt,
-                br_cnt,
-                mon_cnt,
-                method,
-                pc,
-                in_native,
-                blocked_lasn,
-            } => {
-                if &rec.t != vt {
-                    // The chain invariant says the next record is for the
-                    // parked designated thread; leave the mismatch for the
-                    // post-eof stall check to report.
-                    return;
-                }
-                if Self::matches_front(rec, *br_cnt, *mon_cnt, *method, *pc, *in_native) {
-                    if rec.l_asn != 0 && rec.l_asn != *blocked_lasn {
-                        let (t, blocked_lasn, expect) = (*t, *blocked_lasn, rec.l_asn);
-                        self.replay.fail(
-                            t,
-                            format!(
-                                "blocked with lock at l_asn {blocked_lasn} but the record \
-                                 expected {expect}"
-                            ),
-                        );
-                    }
-                    self.pending = None;
-                    self.advance(acct);
-                }
-            }
-            PendingSwitch::Exit(vt) => {
-                if &rec.t == vt {
-                    self.pending = None;
-                    self.advance(acct);
-                } else {
-                    self.replay.fail(
-                        ThreadIdx(0),
-                        "designated thread exited out of recorded order".into(),
-                    );
-                    self.pending = None;
-                }
-            }
+        };
+        if complete {
+            replay.mark_recovery_complete(acct);
         }
     }
 
@@ -1213,9 +1156,14 @@ impl TsBackup {
         &self.replay.stats
     }
 
-    /// True once free scheduling has resumed.
+    /// True once the stream ended and every ordering record was consumed
+    /// (under thread scheduling: once free scheduling has resumed).
     pub fn recovery_complete(&self) -> bool {
-        self.designated.is_none()
+        match &self.state {
+            BackupState::Lock => self.replay.eof && self.replay.log.lock_total == 0,
+            BackupState::Interval => self.replay.eof && self.replay.log.interval_total == 0,
+            BackupState::Ts { designated, .. } => designated.is_none(),
+        }
     }
 
     /// Replay records (of every class) still unconsumed — promotion must
@@ -1234,62 +1182,103 @@ impl TsBackup {
     pub(crate) fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
         self.replay.into_promotion_parts()
     }
+}
 
-    /// Does `snap`/`obs` match the front record's progress point?
-    fn matches_front(
-        rec: &SchedRec,
-        br: u64,
-        mon: u64,
-        method: Option<u32>,
-        pc: u32,
-        in_native: bool,
-    ) -> bool {
-        if rec.br_cnt != br || rec.in_native != in_native {
-            return false;
-        }
-        if in_native {
-            // Inside a native method the JVM cannot see the PC; the replay
-            // point is identified by the monitor-operation count (§4.2).
-            rec.mon_cnt == mon
-                && rec.pc_off == pc
-                && method.map(|m| m == rec.method).unwrap_or(false)
-        } else {
-            rec.mon_cnt == mon
-                && rec.pc_off == pc
-                && method.map(|m| m == rec.method).unwrap_or(false)
-        }
+/// Does a thread at `(br, mon, method, pc, in_native)` stand at the front
+/// schedule record's progress point?
+fn matches_front(
+    rec: &SchedRec,
+    br: u64,
+    mon: u64,
+    method: Option<u32>,
+    pc: u32,
+    in_native: bool,
+) -> bool {
+    // Inside a native method the JVM cannot see the PC; there the
+    // monitor-operation count is what identifies the replay point (§4.2).
+    rec.br_cnt == br
+        && rec.in_native == in_native
+        && rec.mon_cnt == mon
+        && rec.pc_off == pc
+        && method == Some(rec.method)
+}
+
+/// Consumes the front schedule record: its next thread becomes the
+/// designated one.
+fn advance(replay: &mut NativeReplay, designated: &mut Option<VtPath>, acct: &mut TimeAccount) {
+    let Some(rec) = replay.log.sched.pop_front() else {
+        replay.fail_replay(ThreadIdx(0), ReplayError::EmptyRecordQueue { what: "schedule" });
+        return;
+    };
+    *designated = Some(rec.next);
+    replay.stats.sched_records += 1;
+    acct.charge(Category::Resched, replay.cost.sched_record);
+}
+
+/// After consuming records (or at any progress point), schedule recovery
+/// ends when no schedule records remain and the designated thread has
+/// reproduced all of its logged interactions with the environment. While
+/// streaming, an empty queue only means the replay caught up.
+fn maybe_finish(replay: &NativeReplay, designated: &mut Option<VtPath>) {
+    if !replay.eof || !replay.log.sched.is_empty() {
+        return;
     }
-
-    fn advance(&mut self, acct: &mut TimeAccount) {
-        let Some(rec) = self.replay.log.sched.pop_front() else {
-            self.replay
-                .fail_replay(ThreadIdx(0), ReplayError::EmptyRecordQueue { what: "schedule" });
-            return;
-        };
-        self.designated = Some(rec.next);
-        self.replay.stats.sched_records += 1;
-        acct.charge(Category::Resched, self.replay.cost.sched_record);
+    if designated.as_ref().is_some_and(|des| replay.drained_for(des)) {
+        *designated = None;
     }
+}
 
-    /// After consuming records (or at any progress point), recovery ends
-    /// when no schedule records remain and the designated thread has
-    /// reproduced all of its logged interactions with the environment.
-    /// While streaming, an empty queue only means the replay caught up.
-    fn maybe_finish(&mut self) {
-        if !self.replay.eof || !self.replay.log.sched.is_empty() {
-            return;
+/// Matches a pending switch against a newly arrived schedule record.
+fn drain_pending(
+    replay: &mut NativeReplay,
+    designated: &mut Option<VtPath>,
+    pending: &mut Option<PendingSwitch>,
+    acct: &mut TimeAccount,
+) {
+    let Some(p) = pending.as_ref() else { return };
+    let Some(rec) = replay.log.sched.front() else { return };
+    match p {
+        PendingSwitch::Block { t, vt, br_cnt, mon_cnt, method, pc, in_native, blocked_lasn } => {
+            if &rec.t != vt {
+                // The chain invariant says the next record is for the
+                // parked designated thread; leave the mismatch for the
+                // post-eof stall check to report.
+                return;
+            }
+            if matches_front(rec, *br_cnt, *mon_cnt, *method, *pc, *in_native) {
+                if rec.l_asn != 0 && rec.l_asn != *blocked_lasn {
+                    let (t, blocked_lasn, expect) = (*t, *blocked_lasn, rec.l_asn);
+                    replay.fail(
+                        t,
+                        format!(
+                            "blocked with lock at l_asn {blocked_lasn} but the record \
+                             expected {expect}"
+                        ),
+                    );
+                }
+                *pending = None;
+                advance(replay, designated, acct);
+            }
         }
-        if let Some(des) = &self.designated {
-            if self.replay.drained_for(des) {
-                self.designated = None;
+        PendingSwitch::Exit(vt) => {
+            if &rec.t == vt {
+                *pending = None;
+                advance(replay, designated, acct);
+            } else {
+                replay.fail(ThreadIdx(0), "designated thread exited out of recorded order".into());
+                *pending = None;
             }
         }
     }
 }
 
-impl Coordinator for TsBackup {
+impl Coordinator for Backup {
     fn mode(&self) -> &'static str {
-        "ts-backup"
+        match self.state {
+            BackupState::Lock => "lock-sync-backup",
+            BackupState::Interval => "lock-interval-backup",
+            BackupState::Ts { .. } => "ts-backup",
+        }
     }
 
     fn stop(&mut self) -> Option<StopReason> {
@@ -1297,58 +1286,58 @@ impl Coordinator for TsBackup {
     }
 
     fn allow_quantum_preempt(&mut self, _t: &ThreadObs<'_>) -> bool {
-        // During recovery only recorded points may switch application
-        // threads; afterwards, normal preemption resumes.
-        self.designated.is_none()
+        // During schedule recovery only recorded points may switch
+        // application threads; afterwards, normal preemption resumes.
+        match &self.state {
+            BackupState::Ts { designated, .. } => designated.is_none(),
+            BackupState::Lock | BackupState::Interval => true,
+        }
     }
 
     fn check_preempt(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> bool {
-        self.maybe_finish();
-        let Some(des) = &self.designated else {
-            self.replay.mark_recovery_complete(acct);
+        let Backup { replay, state } = self;
+        let BackupState::Ts { last_br, designated, pending } = state else { return false };
+        maybe_finish(replay, designated);
+        let Some(des) = designated.as_ref() else {
+            replay.mark_recovery_complete(acct);
             return false;
         };
         // The backup tracks replay progress with the same block-boundary
         // counter materialization as the primary: a PC update per consult,
         // plus one `br_cnt` store when control flow happened in the block.
-        {
-            let mut cost = self.replay.cost.ts_pc_track;
-            let last = self.last_br.entry(t.t.0).or_insert(0);
-            if t.br_cnt > *last {
-                *last = t.br_cnt;
-                cost += self.replay.cost.ts_br_track;
-            }
-            acct.charge(Category::Misc, cost);
+        let mut cost = replay.cost.ts_pc_track;
+        let last = last_br.entry(t.t.0).or_insert(0);
+        if t.br_cnt > *last {
+            *last = t.br_cnt;
+            cost += replay.cost.ts_br_track;
         }
+        acct.charge(Category::Misc, cost);
         let Some(vt) = t.vt else {
-            self.replay
-                .fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "check_preempt" });
+            replay.fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "check_preempt" });
             return false;
         };
         if vt != des {
             // A non-designated application thread slipped in; park it.
             return true;
         }
-        if self.pending.is_some() {
+        if pending.is_some() {
             // The designated thread already reached a recorded switch whose
             // record has not arrived; it may not run past it.
             return true;
         }
         // Streaming: with no record in hand the designated thread must not
         // run — it could overshoot the primary's next preemption point.
-        let Some(rec) = self.replay.log.sched.front() else { return !self.replay.eof };
+        let Some(rec) = replay.log.sched.front() else { return !replay.eof };
         if &rec.t != vt {
-            self.replay.fail(
-                t.t,
-                format!(
-                    "designated thread {vt} running but front schedule record is for {}",
-                    rec.t
-                ),
+            let detail = format!(
+                "designated thread {vt} running but front schedule record is for {}",
+                rec.t
             );
+            replay.fail(t.t, detail);
             return false;
         }
-        if Self::matches_front(rec, t.br_cnt, t.mon_cnt, t.method.map(|m| m.0), t.pc, t.in_native) {
-            self.advance(acct);
+        if matches_front(rec, t.br_cnt, t.mon_cnt, t.method.map(|m| m.0), t.pc, t.in_native) {
+            advance(replay, designated, acct);
             return true;
         }
         false
@@ -1359,9 +1348,7 @@ impl Coordinator for TsBackup {
         // designated thread stops precisely at the recorded progress point
         // rather than overshooting it inside a fused run.
         let unlimited = QuietBudget { units: max, stop_br: None };
-        if self.designated.is_none() {
-            return unlimited;
-        }
+        let BackupState::Ts { designated: Some(_), .. } = &self.state else { return unlimited };
         let Some(rec) = self.replay.log.sched.front() else { return unlimited };
         let Some(vt) = t.vt else { return unlimited };
         if &rec.t != vt {
@@ -1397,9 +1384,8 @@ impl Coordinator for TsBackup {
         // Blocking yields consume their schedule record here: the counters
         // in the record include bumps performed inside the blocking unit
         // (e.g. `wait` releases the monitor before parking).
-        if self.designated.is_none() || snap.vt.is_none() {
-            return;
-        }
+        let Backup { replay, state } = self;
+        let BackupState::Ts { designated, pending, .. } = state else { return };
         let blocking = matches!(
             reason,
             SwitchReason::BlockedMonitor
@@ -1410,15 +1396,15 @@ impl Coordinator for TsBackup {
         if !blocking {
             return;
         }
-        let Some(des) = &self.designated else { return };
+        let Some(des) = designated.as_ref() else { return };
         if snap.vt.as_ref() != Some(des) {
             return;
         }
-        let Some(rec) = self.replay.log.sched.front() else {
-            if !self.replay.eof {
+        let Some(rec) = replay.log.sched.front() else {
+            if !replay.eof {
                 // The record for this switch is still in flight (or still
                 // in the primary's buffer); hold the switch until it lands.
-                self.pending = Some(PendingSwitch::Block {
+                *pending = Some(PendingSwitch::Block {
                     t: snap.t,
                     vt: des.clone(),
                     br_cnt: snap.br_cnt,
@@ -1431,58 +1417,51 @@ impl Coordinator for TsBackup {
             }
             return;
         };
-        if Some(&rec.t) != snap.vt.as_ref() {
+        if &rec.t != des {
             return;
         }
-        if Self::matches_front(
-            rec,
-            snap.br_cnt,
-            snap.mon_cnt,
-            snap.method.map(|m| m.0),
-            snap.pc,
-            snap.in_native,
-        ) {
+        let method = snap.method.map(|m| m.0);
+        if matches_front(rec, snap.br_cnt, snap.mon_cnt, method, snap.pc, snap.in_native) {
             // Wake-order consistency check (the record's l_asn field).
             if rec.l_asn != 0 && rec.l_asn != snap.blocked_lasn {
-                self.replay.fail(
-                    snap.t,
-                    format!(
-                        "blocked with lock at l_asn {} but the record expected {}",
-                        snap.blocked_lasn, rec.l_asn
-                    ),
+                let detail = format!(
+                    "blocked with lock at l_asn {} but the record expected {}",
+                    snap.blocked_lasn, rec.l_asn
                 );
+                replay.fail(snap.t, detail);
             }
-            self.advance(acct);
+            advance(replay, designated, acct);
         }
     }
 
     fn on_thread_exit(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) {
-        let Some(des) = self.designated.clone() else { return };
+        let Backup { replay, state } = self;
+        let BackupState::Ts { designated, pending, .. } = state else { return };
+        let Some(des) = designated.clone() else { return };
         let Some(vt) = t.vt else {
-            self.replay
-                .fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "on_thread_exit" });
+            replay.fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "on_thread_exit" });
             return;
         };
         if *vt != des {
             return;
         }
-        match self.replay.log.sched.front() {
-            Some(rec) if &rec.t == vt => self.advance(acct),
+        match replay.log.sched.front() {
+            Some(rec) if &rec.t == vt => advance(replay, designated, acct),
             Some(_) => {
                 // Terminated while a record for another thread is at the
                 // front — impossible in a faithful replay.
-                self.replay.fail(t.t, "designated thread exited out of recorded order".into());
+                replay.fail(t.t, "designated thread exited out of recorded order".into());
             }
-            None if !self.replay.eof => {
+            None if !replay.eof => {
                 // The exit's schedule record has not arrived yet.
-                self.pending = Some(PendingSwitch::Exit(vt.clone()));
+                *pending = Some(PendingSwitch::Exit(vt.clone()));
             }
             None => {
-                if self.replay.drained_for(vt) {
-                    self.designated = None;
-                    self.replay.mark_recovery_complete(acct);
+                if replay.drained_for(vt) {
+                    *designated = None;
+                    replay.mark_recovery_complete(acct);
                 } else {
-                    self.replay.fail(
+                    replay.fail(
                         t.t,
                         "designated thread exited with logged interactions left to reproduce"
                             .into(),
@@ -1493,11 +1472,13 @@ impl Coordinator for TsBackup {
     }
 
     fn pick_next(&mut self, candidates: &[ThreadSnap]) -> Pick {
-        let Some(des) = &self.designated else { return Pick::Default };
+        let BackupState::Ts { designated: Some(des), pending, .. } = &self.state else {
+            return Pick::Default;
+        };
         // Streaming: only dispatch the designated thread when a schedule
         // record bounds how far it may run.
         let replay_blocked =
-            !self.replay.eof && (self.pending.is_some() || self.replay.log.sched.front().is_none());
+            !self.replay.eof && (pending.is_some() || self.replay.log.sched.front().is_none());
         if !replay_blocked {
             if let Some(i) = candidates.iter().position(|c| c.vt.as_ref() == Some(des)) {
                 return Pick::Choose(i);
@@ -1512,171 +1493,17 @@ impl Coordinator for TsBackup {
         Pick::Idle
     }
 
-    fn pre_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.replay.directive(t, decl, acct)
-    }
-
-    fn begin_output(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.replay.live_output(acct)
-    }
-
-    fn native_ready(&mut self, t: &ThreadObs<'_>, decl: &NativeDecl) -> bool {
-        self.replay.ready_for(t, decl)
-    }
-
-    fn starved(&mut self) -> bool {
-        !self.replay.eof
-    }
-
-    fn on_stall(&mut self, _acct: &mut TimeAccount) -> bool {
-        if self.designated.is_some() {
-            self.replay.error.get_or_insert(VmError::ReplayDivergence {
-                thread: ThreadIdx(0),
-                detail: format!(
-                    "thread-schedule recovery stalled with {} records left (designated {:?})",
-                    self.replay.log.sched.len(),
-                    self.designated
-                ),
-            });
-            return true;
-        }
-        false
-    }
-
-    fn on_exit(&mut self, _acct: &mut TimeAccount) {}
-}
-
-/// Backup coordinator for **interval-compressed lock synchronization**
-/// recovery: enforces the total acquisition order recorded as
-/// [`Record::LockInterval`]s — during interval *i* only its thread may
-/// acquire monitors; everyone else defers.
-#[derive(Debug)]
-pub struct IntervalBackup {
-    replay: NativeReplay,
-}
-
-impl IntervalBackup {
-    /// Builds a cold-replay coordinator from a complete decoded log.
-    pub fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        IntervalBackup { replay: NativeReplay::new(log, world, se, cost) }
-    }
-
-    /// Builds a hot-standby (streaming) coordinator whose log starts empty
-    /// and grows via [`feed_frame`](IntervalBackup::feed_frame).
-    pub fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        IntervalBackup { replay: NativeReplay::streaming(world, se, cost) }
-    }
-
-    /// Builds a streaming coordinator resumed from an epoch snapshot
-    /// (re-integration of a replacement backup).
-    ///
-    /// # Errors
-    /// Returns an error if the seed is malformed.
-    pub fn resumed(
-        world: SharedWorld,
-        se: SeRegistry,
-        cost: CostModel,
-        seed: ResumeSeed,
-    ) -> Result<Self, VmError> {
-        Ok(IntervalBackup { replay: NativeReplay::resumed(world, se, cost, seed)? })
-    }
-
-    /// Epoch marks absorbed from the stream (the backup's epoch ack).
-    pub fn epochs_absorbed(&self) -> u64 {
-        self.replay.epochs_absorbed
-    }
-
-    /// Streams one arrived frame into the log; returns the number of
-    /// heartbeat records it carried.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frame(&mut self, frame: Bytes) -> Result<u32, VmError> {
-        self.replay.feed_frame(frame)
-    }
-
-    /// Promotes a streaming backup: no further records can arrive.
-    pub fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &TimeAccount) {
-        self.replay.finish(env);
-        if self.replay.log.interval_total == 0 {
-            self.replay.mark_recovery_complete(acct);
-        }
-    }
-
-    /// Backup-side statistics.
-    pub fn stats(&self) -> &ReplicationStats {
-        &self.replay.stats
-    }
-
-    /// True once the stream ended and every interval was consumed.
-    pub fn recovery_complete(&self) -> bool {
-        self.replay.eof && self.replay.log.interval_total == 0
-    }
-
-    /// Replay records (of every class) still unconsumed — promotion must
-    /// wait for zero.
-    pub(crate) fn replay_pending(&self) -> u64 {
-        self.replay.pending_records()
-    }
-
-    /// Simulated instant at which the log replay finished.
-    pub fn recovery_completed_at(&self) -> Option<ftjvm_netsim::SimTime> {
-        self.replay.recovery_completed_at
-    }
-
-    /// Consumes the coordinator for promotion to primary (see
-    /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<PromotionParts, ReplayError> {
-        self.replay.into_promotion_parts()
-    }
-}
-
-impl Coordinator for IntervalBackup {
-    fn mode(&self) -> &'static str {
-        "lock-interval-backup"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.replay.take_stop()
-    }
-
     fn pre_monitor_acquire(
         &mut self,
         t: &ThreadObs<'_>,
         _obj: ObjRef,
-        _l_id: Option<u64>,
-        _l_asn: u64,
+        l_id: Option<u64>,
+        l_asn: u64,
     ) -> MonitorDecision {
-        let Some(front) = self.replay.log.intervals.front() else {
-            if self.replay.eof {
-                return MonitorDecision::Grant; // end of recovery
-            }
-            // Streaming: the interval covering this acquisition has not
-            // arrived (the primary's current interval is still open).
-            return MonitorDecision::Defer;
-        };
-        let Some(vt) = t.vt else {
-            self.replay.fail_replay(
-                t.t,
-                ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
-            );
-            return MonitorDecision::Grant;
-        };
-        if &front.t == vt {
-            MonitorDecision::Grant
-        } else {
-            MonitorDecision::Defer
+        match self.state {
+            BackupState::Lock => self.replay.lock_pre_acquire(t, l_id, l_asn),
+            BackupState::Interval => self.replay.interval_pre_acquire(t),
+            BackupState::Ts { .. } => MonitorDecision::Grant,
         }
     }
 
@@ -1684,47 +1511,18 @@ impl Coordinator for IntervalBackup {
         &mut self,
         t: &ThreadObs<'_>,
         _obj: ObjRef,
-        _l_id: Option<u64>,
-        _l_asn: u64,
+        l_id: Option<u64>,
+        l_asn: u64,
         acct: &mut TimeAccount,
     ) -> Option<u64> {
-        let Some(vt) = t.vt else {
-            self.replay.fail_replay(
-                t.t,
-                ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
-            );
-            return None;
-        };
-        let expected = match self.replay.log.intervals.front() {
-            None => return None, // live phase
-            Some(front) if &front.t != vt => {
-                self.replay.fail(t.t, "acquisition granted outside the current interval".into());
-                return None;
+        match self.state {
+            BackupState::Lock => self.replay.lock_post_acquire(t, l_id, l_asn, acct),
+            BackupState::Interval => {
+                self.replay.interval_post_acquire(t, acct);
+                None
             }
-            // t_asn ordering inside the interval.
-            Some(front) => front.t_asn_start + (front.count - front.remaining),
-        };
-        if t.t_asn != expected {
-            self.replay.fail(
-                t.t,
-                format!("interval expected acquisition t_asn {expected}, got {}", t.t_asn),
-            );
+            BackupState::Ts { .. } => None,
         }
-        acct.charge(ftjvm_netsim::Category::LockAcquire, self.replay.cost.interval_update);
-        self.replay.log.interval_total -= 1;
-        let Some(front) = self.replay.log.intervals.front_mut() else {
-            self.replay.fail_replay(t.t, ReplayError::EmptyRecordQueue { what: "lock interval" });
-            return None;
-        };
-        front.remaining -= 1;
-        if front.remaining == 0 {
-            self.replay.log.intervals.pop_front();
-        }
-        self.replay.stats.locks_acquired += 1;
-        if self.replay.log.interval_total == 0 && self.replay.eof {
-            self.replay.mark_recovery_complete(acct);
-        }
-        None
     }
 
     fn pre_native(
@@ -1751,21 +1549,33 @@ impl Coordinator for IntervalBackup {
     }
 
     fn starved(&mut self) -> bool {
+        // Pre-eof stalls are starvation, not divergence: the replay caught
+        // up with the arrived log and must pause until the next frame.
         !self.replay.eof
     }
 
     fn on_stall(&mut self, _acct: &mut TimeAccount) -> bool {
-        if self.replay.log.interval_total > 0 {
-            self.replay.error.get_or_insert(VmError::ReplayDivergence {
-                thread: ThreadIdx(0),
-                detail: format!(
-                    "interval recovery stalled with {} acquisitions left to replay",
-                    self.replay.log.interval_total
-                ),
-            });
-            return true;
-        }
-        false
+        // Ordering records remain but nobody can consume them: the
+        // replayed execution diverged (typically a data race, Fig. 1).
+        let log = &self.replay.log;
+        let detail = match &self.state {
+            BackupState::Lock if log.lock_total > 0 => format!(
+                "recovery stalled with {} unconsumed lock-acquisition records — \
+                 the replay diverged from the primary (R4A violation?)",
+                log.lock_total
+            ),
+            BackupState::Interval if log.interval_total > 0 => format!(
+                "interval recovery stalled with {} acquisitions left to replay",
+                log.interval_total
+            ),
+            BackupState::Ts { designated: designated @ Some(_), .. } => format!(
+                "thread-schedule recovery stalled with {} records left (designated {designated:?})",
+                log.sched.len()
+            ),
+            _ => return false,
+        };
+        self.replay.error.get_or_insert(VmError::ReplayDivergence { thread: ThreadIdx(0), detail });
+        true
     }
 }
 

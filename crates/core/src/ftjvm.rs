@@ -64,6 +64,29 @@ impl std::fmt::Display for LockVariant {
     }
 }
 
+/// The record stream a pair exchanges: the technique and, under lock
+/// synchronization, its encoding. Both coordinators carry it as state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Technique {
+    /// Lock synchronization, one record per acquisition.
+    Lock,
+    /// Lock synchronization, interval-compressed.
+    Interval,
+    /// Thread scheduling (no lock variant applies).
+    ThreadSched,
+}
+
+impl Technique {
+    /// The technique a mode and lock variant select.
+    pub fn of(mode: ReplicationMode, variant: LockVariant) -> Self {
+        match (mode, variant) {
+            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => Technique::Lock,
+            (ReplicationMode::LockSync, LockVariant::Intervals) => Technique::Interval,
+            (ReplicationMode::ThreadSched, _) => Technique::ThreadSched,
+        }
+    }
+}
+
 impl std::fmt::Display for ReplicationMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {

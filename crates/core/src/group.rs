@@ -42,12 +42,13 @@
 //! untainted standby acknowledgments (the primary's own claim is the
 //! `q`-th matching digest).
 
+use crate::backup::Backup;
 use crate::codec::{
     flush_digest, frame_digest, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk,
     frame_is_vote, parse_vote_frame, SnapshotAssembler,
 };
 use crate::ftjvm::FtJvm;
-use crate::primary::{AckPolicy, PrimaryCore};
+use crate::primary::{AckPolicy, Primary};
 use crate::runtime::{Replica, SLICE_UNITS};
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
@@ -363,7 +364,7 @@ impl VoteGate {
 /// The standby occupying one rank slot, as the driver sees it.
 enum SlotState {
     /// A live hot standby consuming the stream.
-    Live(Box<Replica>),
+    Live(Box<Replica<Backup>>),
     /// Killed, evicted, or awaiting re-homing; no replacement recruited.
     Dead,
     /// State transfer in progress: record frames buffer here until the
@@ -404,7 +405,7 @@ impl Slot {
 struct ReignState {
     reign: usize,
     member: u32,
-    primary: Box<Replica>,
+    primary: Box<Replica<Primary>>,
     slots: Vec<Slot>,
     units_run: u64,
 }
@@ -457,13 +458,6 @@ impl std::fmt::Debug for GroupTask {
     }
 }
 
-/// The reigning primary's core, for fan-out bookkeeping.
-fn core_of(primary: &mut Replica) -> Result<&mut PrimaryCore, VmError> {
-    primary
-        .primary_core()
-        .ok_or_else(|| VmError::Internal("group reign lost its primary coordinator".into()))
-}
-
 /// The group's collective epoch acknowledgment: the slowest slot bounds
 /// how much retained log prefix the primary may truncate. Transferring
 /// slots pin their snapshot's epoch; dead slots pin nothing (their
@@ -472,7 +466,7 @@ fn group_epoch_ack(slots: &[Slot]) -> Option<u64> {
     let mut min: Option<u64> = None;
     for s in slots {
         let acked = match &s.state {
-            SlotState::Live(b) => s.ack_base + b.epochs_absorbed(),
+            SlotState::Live(b) => s.ack_base + b.backup().epochs_absorbed(),
             SlotState::Transfer(_) => s.ack_base,
             SlotState::Dead => continue,
         };
@@ -504,7 +498,7 @@ fn deliver_slot(
             Ok(None)
         }
         SlotState::Transfer(mut buffered) => {
-            let mut live: Option<(Box<Replica>, SimTime)> = None;
+            let mut live: Option<(Box<Replica<Backup>>, SimTime)> = None;
             let mut iter = delivered.into_iter();
             for (arrival, frame) in iter.by_ref() {
                 if frame_is_snapshot_chunk(&frame) {
@@ -547,7 +541,7 @@ fn deliver_slot(
 /// the failure detector at each heartbeat arrival, then lets the standby
 /// replay until it catches up with the log (starves) or finishes.
 fn pump_backup(
-    backup: &mut Replica,
+    backup: &mut Replica<Backup>,
     monitor: &mut HeartbeatMonitor,
     delivered: Vec<(SimTime, Bytes)>,
     done: &mut Option<RunReport>,
@@ -616,12 +610,9 @@ impl GroupTask {
         }
         let world = World::shared();
         let fault = cfg.kills.first().copied().unwrap_or(FaultPlan::None);
-        let mut primary = Box::new(jvm.build_primary(&world, fault)?);
+        let mut primary = Box::new(jvm.build_fanout_primary(&world, fault, cfg.size - 1)?);
         {
-            let core = core_of(&mut primary)?;
-            let extra: Vec<_> =
-                (0..cfg.size.saturating_sub(2)).map(|_| jvm.make_channel()).collect();
-            core.enable_fanout(extra);
+            let core = primary.core();
             core.set_ack_policy(cfg.ack_policy);
             core.set_vote_quorum(cfg.vote_quorum);
             // Byzantine injection models the *original* primary's fault;
@@ -755,20 +746,15 @@ impl GroupTask {
     /// Marks link `idx`'s standby dead on the reigning primary; with no
     /// live link left the primary goes degraded (output commits stop
     /// waiting for acknowledgments). Returns whether it did.
-    fn drop_link(
-        &mut self,
-        primary: &mut Replica,
-        idx: usize,
-        at: SimTime,
-    ) -> Result<bool, VmError> {
-        let core = core_of(primary)?;
+    fn drop_link(&mut self, primary: &mut Replica<Primary>, idx: usize, at: SimTime) -> bool {
+        let core = primary.core();
         core.mark_link_dead(idx);
         if core.live_links() > 0 || core.is_degraded() {
-            return Ok(false);
+            return false;
         }
         core.enter_degraded();
         self.degraded_at.get_or_insert(at);
-        Ok(true)
+        true
     }
 
     /// One reign's co-simulation pass: slice the primary, apply the kill
@@ -817,7 +803,7 @@ impl GroupTask {
                 }
                 st.slots[idx].dead_deadline = None;
                 let member = st.slots[idx].member;
-                if self.drop_link(&mut st.primary, idx, deadline)? {
+                if self.drop_link(&mut st.primary, idx, deadline) {
                     degraded_now = Some(deadline);
                     self.note(deadline, format!("standby m{member} declared dead; degraded"));
                 } else {
@@ -853,7 +839,7 @@ impl GroupTask {
 
             // Fan-in: deliver each link's verified arrivals to its slot.
             for idx in 0..st.slots.len() {
-                let ready = st.primary.recv_ready(idx, now_p)?;
+                let ready = st.primary.core().link_mut(idx).recv_ready(now_p);
                 if let Some(at) = deliver_slot(&self.jvm, &self.world, &mut st.slots[idx], ready)? {
                     let member = st.slots[idx].member;
                     self.reintegrated.push(at);
@@ -890,7 +876,7 @@ impl GroupTask {
                         }
                         st.slots[idx].report = None;
                         st.slots[idx].dead_deadline = None;
-                        if self.drop_link(&mut st.primary, idx, now_p)? {
+                        if self.drop_link(&mut st.primary, idx, now_p) {
                             degraded_now = Some(now_p);
                         }
                         self.evictions += 1;
@@ -903,10 +889,10 @@ impl GroupTask {
             // Epoch-ack relay (the slowest member gates prefix truncation)
             // and degraded exit once any healthy standby streams again.
             if let Some(ack) = group_epoch_ack(&st.slots) {
-                st.primary.relay_epoch_ack(ack);
+                st.primary.core().record_epoch_ack(ack);
             }
             if st.slots.iter().any(|s| s.is_live() && !s.gate.stalled) {
-                st.primary.exit_degraded();
+                st.primary.core().exit_degraded();
             }
 
             match outcome {
@@ -948,7 +934,7 @@ impl GroupTask {
             // with its process; the external world survives.
             primary.fail_env();
         }
-        let (mut links, pstats) = (*primary).into_group_parts()?;
+        let (mut links, pstats) = primary.into_parts();
         // Takeover delivery: everything flushed *and verified in order* per
         // link reaches its slot; records still in the primary's buffer —
         // and, on a lossy link, frames beyond an unresolved gap — are lost
@@ -994,7 +980,7 @@ impl GroupTask {
                     standby.get_or_insert(StandbyEnd {
                         member: slot.member,
                         report,
-                        stats: b.backup_stats(),
+                        stats: b.backup().stats().clone(),
                     });
                 }
             }
@@ -1046,7 +1032,9 @@ impl GroupTask {
             // here means the program ended inside the dead reign's log.
             None => {
                 let mut done = None;
-                while done.is_none() && (!b.recovery_complete() || b.replay_pending() > 0) {
+                while done.is_none()
+                    && (!b.backup().recovery_complete() || b.backup().replay_pending() > 0)
+                {
                     match b.step(SLICE_UNITS)? {
                         SliceOutcome::Budget => {}
                         SliceOutcome::Paused => {
@@ -1064,7 +1052,7 @@ impl GroupTask {
             }
         };
         // Only the unconsumed suffix of the log remained to replay.
-        let recovered_at = b.recovery_completed_at().unwrap_or_else(|| b.now());
+        let recovered_at = b.backup().recovery_completed_at().unwrap_or_else(|| b.now());
         self.failovers.push(FailoverRecord {
             reign,
             crash_at,
@@ -1075,8 +1063,11 @@ impl GroupTask {
         });
         if let Some(r) = finished {
             self.note(detection_at, format!("m{} took over and finished the program", slot.member));
-            let standby =
-                StandbyEnd { member: slot.member, report: r.clone(), stats: b.backup_stats() };
+            let standby = StandbyEnd {
+                member: slot.member,
+                report: r.clone(),
+                stats: b.backup().stats().clone(),
+            };
             self.finish(r, slot.member, true, Some(standby));
             return Ok(GroupEvent::PrimaryFailed { at: crash_at, reign });
         }
@@ -1093,9 +1084,9 @@ impl GroupTask {
         // demotion.
         self.note(detection_at, format!("m{} promoted (reign {})", slot.member, reign + 1));
         let next_fault = self.cfg.kills.get(reign + 1).copied().unwrap_or(FaultPlan::None);
-        let mut np = Box::new((*b).promote(&self.jvm, next_fault, slots.len())?);
+        let mut np = Box::new(b.promote(&self.jvm, next_fault, slots.len() + 1)?);
         {
-            let core = core_of(&mut np)?;
+            let core = np.core();
             core.set_ack_policy(self.cfg.ack_policy);
             core.set_vote_quorum(self.cfg.vote_quorum);
         }

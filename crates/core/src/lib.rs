@@ -66,10 +66,7 @@ pub mod runtime;
 pub mod se;
 pub mod stats;
 
-pub use backup::{
-    BackupLog, Control, EpochStore, IntervalBackup, LockSyncBackup, RecvWindow, ReplayError,
-    ResumeSeed, TsBackup,
-};
+pub use backup::{Backup, BackupLog, Control, EpochStore, RecvWindow, ReplayError, ResumeSeed};
 pub use codec::{
     build_batch_frame, build_epoch_frame, build_snapshot_chunk, crc32c, decode_frames,
     frame_is_epoch_mark, frame_is_snapshot_chunk, open_frame, parse_epoch_frame,
@@ -78,7 +75,7 @@ pub use codec::{
 pub use fleet::{
     run_fleet, split_seed, FleetConfig, FleetReport, PairOutcome, PairPlan, RouterMode,
 };
-pub use ftjvm::{FtConfig, FtJvm, LockVariant, PairReport, ReplicationMode};
+pub use ftjvm::{FtConfig, FtJvm, LockVariant, PairReport, ReplicationMode, Technique};
 pub use ftjvm_netsim::{NetFaultPlan, WireCodec};
 pub use group::{
     FailoverRecord, GroupConfig, GroupEvent, GroupMoment, GroupReport, GroupTask, ReignStats,
@@ -86,10 +83,7 @@ pub use group::{
 };
 pub use pair::{CheckpointPlan, CheckpointReport};
 pub use parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};
-pub use primary::{
-    AckPolicy, IntervalPrimary, LockSyncPrimary, LogChannel, PrimaryCore, ReliableLink, SendWindow,
-    TsPrimary,
-};
+pub use primary::{AckPolicy, LogChannel, Primary, PrimaryCore, ReliableLink, SendWindow};
 pub use records::{LoggedResult, Record, WireValue};
 pub use runtime::{LagBudget, Replica};
 pub use se::{SeRegistration, SeRegistry, SideEffectHandler, SocketHandler};

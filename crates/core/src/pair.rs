@@ -167,15 +167,15 @@ impl FtJvm {
         let (report, crashed) = loop {
             let outcome = primary.step(SLICE_UNITS)?;
             let now = primary.now();
-            store_frames(&mut store, &mut monitor, primary.recv_ready(0, now)?)?;
-            primary.relay_epoch_ack(store.epochs_stored);
+            store_frames(&mut store, &mut monitor, primary.core().link_mut(0).recv_ready(now))?;
+            primary.core().record_epoch_ack(store.epochs_stored);
             match outcome {
                 // The durable store can outlive the primary and needs the
                 // snapshot itself before it may truncate, so every cut
                 // builds and ships it.
                 SliceOutcome::Budget => {
                     if let Some(blob) = primary.cut_epoch_blob(false)? {
-                        primary.ship_snapshot(0, &blob)?;
+                        primary.ship_snapshot(0, &blob);
                     }
                 }
                 SliceOutcome::Paused => {
@@ -188,7 +188,9 @@ impl FtJvm {
         if crashed {
             primary.fail_env();
         }
-        let (mut channel, primary_stats) = primary.into_primary_parts()?;
+        // `build_primary` builds exactly one link.
+        let (mut links, primary_stats) = primary.into_parts();
+        let mut channel = links.swap_remove(0);
         let drained = channel.drain();
         let channel_stats = channel.stats();
         store_frames(&mut store, &mut monitor, drained)?;
@@ -209,10 +211,10 @@ impl FtJvm {
                 }
                 b.finish_stream();
                 let r = b.run_to_end()?;
-                let recovered = b.recovery_completed_at().unwrap_or_else(|| r.acct.now());
+                let recovered = b.backup().recovery_completed_at().unwrap_or_else(|| r.acct.now());
                 let replay =
                     if recovered > detection_at { recovered - detection_at } else { SimTime::ZERO };
-                (r, b.backup_stats(), replay)
+                (r, b.backup().stats().clone(), replay)
             }
             // No epoch completed before the crash: classic cold replay
             // from the initial state.

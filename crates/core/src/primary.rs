@@ -1,23 +1,27 @@
-//! The primary-side replication runtime and the two primary coordinators.
+//! The primary-side replication runtime and the primary coordinator.
 //!
-//! [`PrimaryCore`] implements everything both techniques share: the
-//! buffered record log and its flush policy, the non-deterministic
-//! native-method interception (§4.1), output commit with pessimistic
-//! acknowledgment waits (§3.4), side-effect-handler `log` upcalls (§4.4),
-//! and fail-stop fault injection. On top of it:
+//! [`PrimaryCore`] implements everything the techniques share: the
+//! buffered record log and its flush policy, the fan-out links to the
+//! standbys, the non-deterministic native-method interception (§4.1),
+//! output commit with pessimistic acknowledgment waits (§3.4),
+//! side-effect-handler `log` upcalls (§4.4), and fail-stop fault
+//! injection. [`Primary`] wraps it with the technique's record state
+//! (§4.2):
 //!
-//! * [`LockSyncPrimary`] logs an id map on first acquisition and a lock
-//!   acquisition record on every monitor acquisition (§4.2, *Replicated
-//!   Lock Synchronization*);
-//! * [`TsPrimary`] charges the per-instruction progress bookkeeping and
-//!   logs a thread-schedule record whenever the scheduler switches between
-//!   two application threads (§4.2, *Replicated Thread Scheduling*).
+//! * *replicated lock synchronization* logs an id map on first
+//!   acquisition and a lock acquisition record on every monitor
+//!   acquisition — or, interval-compressed, one record per run of
+//!   consecutive acquisitions by one thread;
+//! * *replicated thread scheduling* charges the per-instruction progress
+//!   bookkeeping and logs a thread-schedule record whenever the scheduler
+//!   switches between two application threads.
 
 use crate::backup::{Control, RecvWindow};
 use crate::codec::{
     build_batch_frame, build_epoch_frame, build_vote_frame, flush_digest, frame_digest, seal_frame,
     RecordEncoder,
 };
+use crate::ftjvm::Technique;
 use crate::records::{sig_hash, LoggedResult, Record, WireValue};
 use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
@@ -27,6 +31,7 @@ use ftjvm_netsim::{
     TimeAccount, WireCodec, WireError, WireReader, WireWriter,
 };
 
+use ftjvm_vm::exec::VmCore;
 use ftjvm_vm::native::{NativeDecl, NativeOutcome};
 use ftjvm_vm::{
     Coordinator, NativeDirective, ObjRef, StopReason, SwitchReason, ThreadObs, ThreadSnap, Value,
@@ -463,9 +468,22 @@ impl AckPolicy {
     }
 }
 
+/// One fan-out link toward a standby, as the primary sees it.
+#[derive(Debug)]
+struct Link {
+    chan: LogChannel,
+    /// Dead links are skipped by sends, maintenance, and ack waits.
+    live: bool,
+    /// This replica's own send path byzantine-flipped the link's record
+    /// stream at least once — its standby's digest votes can never match
+    /// the claim, so vote gating excludes it.
+    tainted: bool,
+}
+
 /// Shared primary-side machinery.
 pub struct PrimaryCore {
-    channel: LogChannel,
+    /// One link per standby, in rank order. A pair has exactly one.
+    links: Vec<Link>,
     cost: CostModel,
     fault: FaultPlan,
     buffer: Vec<bytes::Bytes>,
@@ -510,17 +528,6 @@ pub struct PrimaryCore {
     /// waiting for acknowledgments (there is no one to wait for) and the
     /// uncovered outputs are counted.
     degraded: bool,
-    /// Group fan-out: additional links to standbys beyond the first
-    /// (`channel` is link 0). Empty in single-backup pair mode, where
-    /// every loop below degenerates to the legacy single-channel path.
-    fanout: Vec<LogChannel>,
-    /// Liveness per link (index 0 = `channel`); dead links are skipped by
-    /// sends, maintenance, and ack waits.
-    link_live: Vec<bool>,
-    /// Links whose record stream was byzantine-flipped at least once by
-    /// this replica's own send path — their standby's digest votes can
-    /// never match the claim, so vote gating excludes them.
-    link_tainted: Vec<bool>,
     ack_policy: AckPolicy,
     /// BFT-lite voting: total matching digests (the primary's own claim
     /// included) required before an output releases. `None` disables the
@@ -550,22 +557,16 @@ impl std::fmt::Debug for PrimaryCore {
 }
 
 impl PrimaryCore {
-    /// Creates the shared primary machinery over a perfect FIFO channel.
-    pub fn new(channel: SimChannel, cost: CostModel, fault: FaultPlan, se: SeRegistry) -> Self {
-        Self::with_transport(LogChannel::Perfect(channel), cost, fault, se)
-    }
-
-    /// Creates the shared primary machinery over an explicit transport
-    /// (the runtime picks [`LogChannel::Reliable`] when a net-fault plan
-    /// is armed).
-    pub fn with_transport(
-        channel: LogChannel,
-        cost: CostModel,
-        fault: FaultPlan,
-        se: SeRegistry,
-    ) -> Self {
+    /// Creates the shared primary machinery over `links`, one transport
+    /// per standby in rank order, all live: one for a pair, `k` for a
+    /// group fanning out to `k` standbys. The runtime builds
+    /// [`LogChannel::Reliable`] links when a net-fault plan is armed.
+    pub fn new(links: Vec<LogChannel>, cost: CostModel, fault: FaultPlan, se: SeRegistry) -> Self {
         PrimaryCore {
-            channel,
+            links: links
+                .into_iter()
+                .map(|chan| Link { chan, live: true, tainted: false })
+                .collect(),
             cost,
             fault,
             buffer: Vec::new(),
@@ -590,9 +591,6 @@ impl PrimaryCore {
             retained_bytes: 0,
             last_se: HashMap::new(),
             degraded: false,
-            fanout: Vec::new(),
-            link_live: vec![true],
-            link_tainted: vec![false],
             ack_policy: AckPolicy::All,
             vote_quorum: None,
             byz_plan: None,
@@ -609,25 +607,10 @@ impl PrimaryCore {
         self.codec = codec;
     }
 
-    /// Consumes the core, returning the channel (the harness drains it into
-    /// the backup's log) and the final statistics.
-    pub fn into_parts(self) -> (LogChannel, ReplicationStats) {
-        (self.channel, self.stats)
-    }
-
-    /// Consumes the core, returning *every* fan-out link in rank order
-    /// plus the final statistics (the group driver drains each survivor's
-    /// link into its own standby).
-    pub fn into_group_parts(self) -> (Vec<LogChannel>, ReplicationStats) {
-        let mut links = vec![self.channel];
-        links.extend(self.fanout);
-        (links, self.stats)
-    }
-
-    /// The replication channel, for a co-simulation driver that pulls
-    /// delivered frames for a hot standby while the primary still runs.
-    pub fn channel_mut(&mut self) -> &mut LogChannel {
-        &mut self.channel
+    /// Consumes the core, returning every link in rank order (the driver
+    /// drains each into its standby) and the final statistics.
+    pub fn into_parts(self) -> (Vec<LogChannel>, ReplicationStats) {
+        (self.links.into_iter().map(|l| l.chan).collect(), self.stats)
     }
 
     /// Replication statistics so far (final values via
@@ -636,30 +619,11 @@ impl PrimaryCore {
         &self.stats
     }
 
-    // --- Group fan-out (k standby links; link 0 is `channel`) -------------
-
-    /// Total fan-out width, the first link included.
-    pub fn link_count(&self) -> usize {
-        1 + self.fanout.len()
-    }
+    // --- Fan-out (one link per standby, in rank order) --------------------
 
     /// Links currently believed live.
     pub fn live_links(&self) -> usize {
-        (0..self.link_count()).filter(|&i| self.is_link_live(i)).count()
-    }
-
-    fn is_link_live(&self, idx: usize) -> bool {
-        self.link_live.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Adds fan-out links toward standbys of rank 1.. (link 0 keeps rank
-    /// 0). Call before execution starts.
-    pub fn enable_fanout(&mut self, links: Vec<LogChannel>) {
-        for link in links {
-            self.fanout.push(link);
-            self.link_live.push(true);
-            self.link_tainted.push(false);
-        }
+        self.links.iter().filter(|l| l.live).count()
     }
 
     /// Selects the output-commit acknowledgment policy (default
@@ -689,23 +653,14 @@ impl PrimaryCore {
 
     /// Marks a link's standby dead: sends and ack waits skip it.
     pub fn mark_link_dead(&mut self, idx: usize) {
-        if let Some(l) = self.link_live.get_mut(idx) {
-            *l = false;
+        if let Some(l) = self.links.get_mut(idx) {
+            l.live = false;
         }
-    }
-
-    /// True if this replica's own send path ever flipped a frame on `idx`.
-    pub fn link_is_tainted(&self, idx: usize) -> bool {
-        self.link_tainted.get(idx).copied().unwrap_or(false)
     }
 
     /// One fan-out link by index (0 = the pair channel).
     pub fn link_mut(&mut self, idx: usize) -> &mut LogChannel {
-        if idx == 0 {
-            &mut self.channel
-        } else {
-            &mut self.fanout[idx - 1]
-        }
+        &mut self.links[idx].chan
     }
 
     /// Replaces link `idx`'s transport (state-transfer re-integration of
@@ -713,24 +668,17 @@ impl PrimaryCore {
     /// replacement's state comes from an honest snapshot cut for it, not
     /// the flipped stream. Returns the old transport.
     pub fn swap_link(&mut self, idx: usize, new: LogChannel) -> LogChannel {
-        if let Some(l) = self.link_live.get_mut(idx) {
-            *l = true;
-        }
-        if let Some(t) = self.link_tainted.get_mut(idx) {
-            *t = false;
-        }
-        std::mem::replace(self.link_mut(idx), new)
+        let old =
+            std::mem::replace(&mut self.links[idx], Link { chan: new, live: true, tainted: false });
+        old.chan
     }
 
     /// Sends one frame on every live link (heartbeats, epoch marks —
     /// anything that carries no digest vote).
     fn broadcast(&mut self, frame: Bytes, acct: &mut TimeAccount) {
         let now = acct.now();
-        for idx in 0..self.link_count() {
-            if !self.is_link_live(idx) {
-                continue;
-            }
-            let cost = self.link_mut(idx).send(now, frame.clone());
+        for link in self.links.iter_mut().filter(|l| l.live) {
+            let cost = link.chan.send(now, frame.clone());
             acct.charge(Category::Communication, cost);
         }
     }
@@ -748,23 +696,20 @@ impl PrimaryCore {
             self.flush_claims.push(frame_digest(&frame));
         }
         let now = acct.now();
-        for idx in 0..self.link_count() {
-            if !self.is_link_live(idx) {
-                continue;
-            }
+        for (idx, link) in self.links.iter_mut().enumerate().filter(|(_, l)| l.live) {
             let flip =
                 self.byz_plan.as_ref().and_then(|p| p.byzantine_flip(fi, idx as u32, frame.len()));
             let payload = match flip {
                 Some((pos, mask)) => {
                     let mut raw = frame.to_vec();
                     raw[pos] ^= mask;
-                    self.link_tainted[idx] = true;
+                    link.tainted = true;
                     self.stats.byzantine_flips += 1;
                     Bytes::from(raw)
                 }
                 None => frame.clone(),
             };
-            let cost = self.link_mut(idx).send(now, payload);
+            let cost = link.chan.send(now, payload);
             acct.charge(Category::Communication, cost);
         }
     }
@@ -784,11 +729,8 @@ impl PrimaryCore {
         // The vote references the last record frame of the group.
         let fi = self.record_frame_index - 1;
         let now = acct.now();
-        for idx in 0..self.link_count() {
-            if !self.is_link_live(idx) {
-                continue;
-            }
-            let cost = self.link_mut(idx).send(now, build_vote_frame(fi, claim));
+        for link in self.links.iter_mut().filter(|l| l.live) {
+            let cost = link.chan.send(now, build_vote_frame(fi, claim));
             acct.charge(Category::Communication, cost);
             self.stats.votes_sent += 1;
         }
@@ -802,14 +744,10 @@ impl PrimaryCore {
     fn policy_ack_arrival(&mut self, now: SimTime) -> SimTime {
         let mut live = Vec::new();
         let mut matching = Vec::new();
-        for idx in 0..self.link_count() {
-            if !self.is_link_live(idx) {
-                continue;
-            }
-            let tainted = self.link_is_tainted(idx);
-            let at = self.link_mut(idx).ack_arrival(now);
+        for link in self.links.iter_mut().filter(|l| l.live) {
+            let at = link.chan.ack_arrival(now);
             live.push(at);
-            if !tainted {
+            if !link.tainted {
                 matching.push(at);
             }
         }
@@ -922,7 +860,8 @@ impl PrimaryCore {
         self.buffered_bytes = 0;
         self.flushes += 1;
         self.stats.flushes = self.flushes;
-        self.stats.peak_send_window = self.stats.peak_send_window.max(self.channel.depth() as u64);
+        let depth = self.links.first().map_or(0, |l| l.chan.depth());
+        self.stats.peak_send_window = self.stats.peak_send_window.max(depth as u64);
         if let FaultPlan::AfterFlush(n) = self.fault {
             if self.flushes > n {
                 self.crashed = true;
@@ -971,12 +910,8 @@ impl PrimaryCore {
             // Reliable-transport maintenance: fire due retransmission
             // timers and process returned acks; a crashed primary stops
             // retransmitting, so unacked frames become lost suffix.
-            for idx in 0..self.link_count() {
-                if !self.is_link_live(idx) {
-                    continue;
-                }
-                let now = acct.now();
-                let cost = self.link_mut(idx).maintain(now);
+            for link in self.links.iter_mut().filter(|l| l.live) {
+                let cost = link.chan.maintain(acct.now());
                 if cost > SimTime::ZERO {
                     acct.charge(Category::Communication, cost);
                 }
@@ -990,13 +925,10 @@ impl PrimaryCore {
     pub(crate) fn finish(&mut self, acct: &mut TimeAccount) {
         self.flush(acct);
         if !self.crashed {
-            let mut settled = acct.now();
-            for idx in 0..self.link_count() {
-                if !self.is_link_live(idx) {
-                    continue;
-                }
-                let now = acct.now();
-                settled = settled.max(self.link_mut(idx).settle(now));
+            let now = acct.now();
+            let mut settled = now;
+            for link in self.links.iter_mut().filter(|l| l.live) {
+                settled = settled.max(link.chan.settle(now));
             }
             acct.wait_until(Category::Pessimistic, settled);
         }
@@ -1136,10 +1068,8 @@ impl PrimaryCore {
             // (fewer than q-1 live links, e.g. mid re-homing after a
             // failover) releases uncovered outputs like degraded mode does:
             // the quorum guarantee applies to formed groups.
-            let live = (0..self.link_count()).filter(|&i| self.is_link_live(i)).count() as u32;
-            let matching = (0..self.link_count())
-                .filter(|&i| self.is_link_live(i) && !self.link_is_tainted(i))
-                .count() as u32;
+            let live = self.live_links() as u32;
+            let matching = self.links.iter().filter(|l| l.live && !l.tainted).count() as u32;
             if matching + 1 < q && live + 1 >= q {
                 self.stats.byzantine_demotions += 1;
                 self.crashed = true;
@@ -1270,23 +1200,11 @@ impl PrimaryCore {
         self.degraded = false;
     }
 
-    /// Replaces the log transport (re-integration points the primary at a
-    /// fresh channel toward the replacement backup) and returns the old
-    /// one.
-    pub fn swap_channel(&mut self, new: LogChannel) -> LogChannel {
-        self.swap_link(0, new)
-    }
-
-    /// Sends one pre-built frame (a snapshot chunk during state transfer),
-    /// charging the communication cost.
-    pub fn send_raw(&mut self, payload: Bytes, acct: &mut TimeAccount) {
-        self.send_raw_on(0, payload, acct);
-    }
-
-    /// [`send_raw`](PrimaryCore::send_raw) targeted at one fan-out link
-    /// (state transfer re-integrates a single standby; the other links
-    /// must not see its snapshot chunks).
-    pub fn send_raw_on(&mut self, idx: usize, payload: Bytes, acct: &mut TimeAccount) {
+    /// Sends one pre-built frame (a snapshot chunk during state transfer)
+    /// on fan-out link `idx` only, charging the communication cost: state
+    /// transfer re-integrates a single standby, and the other links must
+    /// not see its snapshot chunks.
+    pub fn send_on(&mut self, idx: usize, payload: Bytes, acct: &mut TimeAccount) {
         let now = acct.now();
         let cost = self.link_mut(idx).send(now, payload);
         acct.charge(Category::Communication, cost);
@@ -1361,297 +1279,151 @@ pub(crate) fn decode_vt_map(blob: &Bytes) -> Result<HashMap<VtPath, u64>, WireEr
     Ok(map)
 }
 
-/// Primary coordinator for **replicated lock synchronization** (§4.2).
+/// Per-thread branch counters of `vm`'s threads: the seed a coordinator
+/// taking over a running VM starts its progress-cost accounting from.
+pub(crate) fn branch_counts(vm: &VmCore) -> HashMap<u32, u64> {
+    vm.threads.iter().map(|t| (t.idx.0, t.br_cnt)).collect()
+}
+
+/// The primary coordinator (§4.2): [`PrimaryCore`] plus the record state
+/// of the technique it logs for. Every hook the techniques share is
+/// written once; the technique decides only which records a lock
+/// acquisition or a context switch produces.
 #[derive(Debug)]
-pub struct LockSyncPrimary {
+pub struct Primary {
     /// Shared primary machinery.
-    pub common: PrimaryCore,
-    next_l_id: u64,
+    pub core: PrimaryCore,
+    state: PrimaryState,
 }
 
-impl LockSyncPrimary {
-    /// Creates the coordinator.
-    pub fn new(common: PrimaryCore) -> Self {
-        LockSyncPrimary { common, next_l_id: 0 }
-    }
-
-    /// Creates the coordinator for a backup promoting to primary: the
-    /// virtual-lock-id allocator starts past every id the replayed
-    /// history already assigned, so fresh assignments never collide.
-    pub fn resumed(common: PrimaryCore, next_l_id: u64) -> Self {
-        LockSyncPrimary { common, next_l_id }
-    }
+#[derive(Debug)]
+enum PrimaryState {
+    /// Replicated lock synchronization: an id map on a lock's first
+    /// acquisition, a lock-acquisition record on every acquisition.
+    Lock {
+        /// Next virtual lock id to assign.
+        next_l_id: u64,
+    },
+    /// Interval-compressed lock synchronization — the DejaVu-style
+    /// optimization the paper's related work points at ("there would only
+    /// be 56 intervals instead of 700258 lock acquisitions").
+    /// Globally-consecutive acquisitions by one thread collapse into a
+    /// single [`Record::LockInterval`]; virtual lock ids and id maps are
+    /// unnecessary because the backup enforces a *total* order over all
+    /// acquisitions rather than a per-lock order.
+    Interval {
+        /// The interval being extended: (thread, `t_asn` start, count).
+        open: Option<(VtPath, u64, u64)>,
+    },
+    /// Replicated thread scheduling: per-instruction progress bookkeeping
+    /// and a schedule record whenever the scheduler switches between two
+    /// application threads.
+    Ts {
+        /// The last application thread that yielded (its progress
+        /// snapshot), pending the next application dispatch.
+        pending_from: Option<ThreadSnap>,
+        /// Last observed `br_cnt` per thread, to charge `br_cnt`
+        /// maintenance once per control-flow change.
+        last_br: HashMap<u32, u64>,
+    },
 }
 
-impl Coordinator for LockSyncPrimary {
-    fn mode(&self) -> &'static str {
-        "lock-sync-primary"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.common.stop()
-    }
-
-    fn note_units(&mut self, n: u64, acct: &mut TimeAccount) {
-        self.common.tick_n(n, acct);
-    }
-
-    fn post_monitor_acquire(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _obj: ObjRef,
-        l_id: Option<u64>,
-        l_asn: u64,
-        acct: &mut TimeAccount,
-    ) -> Option<u64> {
-        let vt = PrimaryCore::vt(t);
-        let (l_id, assigned) = match l_id {
-            Some(id) => (id, None),
-            None => {
-                // First acquisition anywhere: assign the virtual lock id
-                // and log the id map (§4.2).
-                let id = self.next_l_id;
-                self.next_l_id += 1;
-                let id_map_cost = self.common.cost.id_map_record;
-                self.common.log(
-                    Record::IdMap { l_id: id, t: vt.clone(), t_asn: t.t_asn },
-                    Category::LockAcquire,
-                    id_map_cost,
-                    acct,
-                );
-                (id, Some(id))
+impl Primary {
+    /// Creates the primary coordinator of `technique` for a fresh run.
+    pub fn new(core: PrimaryCore, technique: Technique) -> Self {
+        let state = match technique {
+            Technique::Lock => PrimaryState::Lock { next_l_id: 0 },
+            Technique::Interval => PrimaryState::Interval { open: None },
+            Technique::ThreadSched => {
+                PrimaryState::Ts { pending_from: None, last_br: HashMap::new() }
             }
         };
-        let lock_cost = self.common.cost.lock_record;
-        self.common.log(
-            Record::LockAcq { t: vt, t_asn: t.t_asn, l_id, l_asn },
-            Category::LockAcquire,
-            lock_cost,
-            acct,
-        );
-        self.common.stats.locks_acquired += 1;
-        self.common.stats.largest_lasn = self.common.stats.largest_lasn.max(l_asn);
-        assigned
+        Primary { core, state }
     }
 
-    fn pre_native(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.common.pre_native(decl, acct)
-    }
-
-    fn post_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        outcome: &NativeOutcome,
-        output_id: Option<u64>,
-        env: &ftjvm_vm::SimEnv,
-        acct: &mut TimeAccount,
-    ) {
-        self.common.post_native(env, t, decl, outcome, output_id, acct);
-    }
-
-    fn begin_output(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.common.begin_output(t, acct)
-    }
-
-    fn on_exit(&mut self, acct: &mut TimeAccount) {
-        self.common.finish(acct);
-    }
-}
-
-/// Primary coordinator for **interval-compressed replicated lock
-/// synchronization** — the DejaVu-style optimization the paper's related
-/// work points at ("there would only be 56 intervals instead of 700258
-/// lock acquisitions"). Globally-consecutive acquisitions by one thread
-/// collapse into a single [`Record::LockInterval`]; virtual lock ids and
-/// id maps become unnecessary because the backup enforces a *total* order
-/// over all acquisitions rather than a per-lock order.
-#[derive(Debug)]
-pub struct IntervalPrimary {
-    /// Shared primary machinery.
-    pub common: PrimaryCore,
-    open: Option<(VtPath, u64, u64)>, // (thread, t_asn_start, count)
-}
-
-impl IntervalPrimary {
-    /// Creates the coordinator.
-    pub fn new(common: PrimaryCore) -> Self {
-        IntervalPrimary { common, open: None }
-    }
-
-    /// Closes the open acquisition interval, logging it. A no-op when no
-    /// interval is open. Epoch cuts call this so the flushed prefix is
-    /// self-contained.
-    pub(crate) fn close_open(&mut self, acct: &mut TimeAccount) {
-        if let Some((t, t_asn_start, count)) = self.open.take() {
-            let cost = self.common.cost.lock_record;
-            self.common.log(
-                Record::LockInterval { t, t_asn_start, count },
-                Category::LockAcquire,
-                cost,
-                acct,
-            );
-        }
-    }
-}
-
-impl Coordinator for IntervalPrimary {
-    fn mode(&self) -> &'static str {
-        "lock-interval-primary"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.common.stop()
-    }
-
-    fn note_units(&mut self, n: u64, acct: &mut TimeAccount) {
-        self.common.tick_n(n, acct);
-    }
-
-    fn post_monitor_acquire(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _obj: ObjRef,
-        _l_id: Option<u64>,
-        l_asn: u64,
-        acct: &mut TimeAccount,
-    ) -> Option<u64> {
-        let vt = PrimaryCore::vt(t);
-        let extended = match &mut self.open {
-            Some((open_t, _, count)) if *open_t == vt => {
-                *count += 1;
-                true
+    /// Creates the coordinator for a backup promoting to primary over its
+    /// replayed VM: fresh virtual lock ids start past every id the history
+    /// assigned, and per-thread branch counters continue rather than
+    /// restart.
+    pub(crate) fn promoted(core: PrimaryCore, technique: Technique, vm: &VmCore) -> Self {
+        let mut p = Primary::new(core, technique);
+        match &mut p.state {
+            PrimaryState::Lock { next_l_id } => {
+                *next_l_id = vm.monitors.max_lock_id().map_or(0, |m| m + 1);
             }
-            _ => false,
-        };
-        acct.charge(Category::LockAcquire, self.common.cost.interval_update);
-        if !extended {
-            self.close_open(acct);
-            self.open = Some((vt, t.t_asn, 1));
+            PrimaryState::Interval { .. } => {}
+            PrimaryState::Ts { last_br, .. } => *last_br = branch_counts(vm),
         }
-        self.common.stats.locks_acquired += 1;
-        self.common.stats.largest_lasn = self.common.stats.largest_lasn.max(l_asn);
-        None
+        p
     }
 
-    fn pre_native(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.common.pre_native(decl, acct)
-    }
-
-    fn post_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        outcome: &NativeOutcome,
-        output_id: Option<u64>,
-        env: &ftjvm_vm::SimEnv,
-        acct: &mut TimeAccount,
-    ) {
-        // The result record must be ordered after the interval that covers
-        // the acquisitions preceding it — close the interval first when the
-        // native was intercepted.
-        if decl.nondeterministic || self.common.se_manages(&decl.name) {
-            self.close_open(acct);
+    /// First half of an epoch cut (see [`PrimaryCore::prepare_epoch_cut`]),
+    /// or `None` when the technique is mid-record: under thread scheduling
+    /// a half-captured schedule record (a pending yield snapshot) would be
+    /// lost by the snapshot/suffix split. The interval technique closes
+    /// its open interval first so the flushed prefix is self-contained.
+    pub(crate) fn prepare_cut(&mut self, acct: &mut TimeAccount) -> Option<Vec<(u8, Bytes)>> {
+        if let PrimaryState::Ts { pending_from: Some(_), .. } = self.state {
+            return None;
         }
-        self.common.post_native(env, t, decl, outcome, output_id, acct);
-    }
-
-    fn begin_output(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        // Output commit is a synchronization point: the open interval must
-        // reach the backup with everything else.
         self.close_open(acct);
-        self.common.begin_output(t, acct)
+        Some(self.core.prepare_epoch_cut(acct))
     }
 
-    fn on_exit(&mut self, acct: &mut TimeAccount) {
-        self.close_open(acct);
-        self.common.finish(acct);
-    }
-}
-
-/// Primary coordinator for **replicated thread scheduling** (§4.2).
-#[derive(Debug)]
-pub struct TsPrimary {
-    /// Shared primary machinery.
-    pub common: PrimaryCore,
-    /// The last application thread that yielded (its progress snapshot),
-    /// pending the next application dispatch.
-    pending_from: Option<ThreadSnap>,
-    /// Last observed `br_cnt` per thread, to charge `br_cnt`-maintenance
-    /// costs once per control-flow change.
-    last_br: HashMap<u32, u64>,
-}
-
-impl TsPrimary {
-    /// Creates the coordinator.
-    pub fn new(common: PrimaryCore) -> Self {
-        TsPrimary { common, pending_from: None, last_br: HashMap::new() }
-    }
-
-    /// Creates the coordinator for a backup promoting to primary, seeding
-    /// the per-thread branch counters from the replayed VM so progress
-    /// accounting continues rather than restarting.
-    pub fn resumed(common: PrimaryCore, last_br: HashMap<u32, u64>) -> Self {
-        TsPrimary { common, pending_from: None, last_br }
-    }
-
-    /// True when no schedule record is half-captured — the only moment an
-    /// epoch cut is sound under replicated thread scheduling (a pending
-    /// yield snapshot would be lost by the snapshot/suffix split).
-    pub(crate) fn cut_ready(&self) -> bool {
-        self.pending_from.is_none()
+    /// Logs the open acquisition interval, if any (the interval technique
+    /// only): output commit, intercepted natives, cuts, and program exit
+    /// are synchronization points it must reach the backup before.
+    fn close_open(&mut self, acct: &mut TimeAccount) {
+        if let PrimaryState::Interval { open } = &mut self.state {
+            if let Some(interval) = open.take() {
+                log_interval(&mut self.core, interval, acct);
+            }
+        }
     }
 }
 
-impl Coordinator for TsPrimary {
+/// Logs one closed acquisition interval.
+fn log_interval(
+    core: &mut PrimaryCore,
+    (t, t_asn_start, count): (VtPath, u64, u64),
+    acct: &mut TimeAccount,
+) {
+    let cost = core.cost.lock_record;
+    core.log(Record::LockInterval { t, t_asn_start, count }, Category::LockAcquire, cost, acct);
+}
+
+impl Coordinator for Primary {
     fn mode(&self) -> &'static str {
-        "ts-primary"
+        match self.state {
+            PrimaryState::Lock { .. } => "lock-sync-primary",
+            PrimaryState::Interval { .. } => "lock-interval-primary",
+            PrimaryState::Ts { .. } => "ts-primary",
+        }
     }
 
     fn stop(&mut self) -> Option<StopReason> {
-        self.common.stop()
+        self.core.stop()
     }
 
     fn check_preempt(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> bool {
+        let PrimaryState::Ts { last_br, .. } = &mut self.state else { return false };
         // The extra interpreter-loop work that tracks progress (the
         // paper's dominant "Misc" overhead). With block-granular fusion
         // the counters materialize once per consult, not once per unit: a
         // PC update at each block boundary, plus one `br_cnt` store when
         // any control flow happened since the last consult.
-        let mut cost = self.common.cost.ts_pc_track;
-        let last = self.last_br.entry(t.t.0).or_insert(0);
+        let mut cost = self.core.cost.ts_pc_track;
+        let last = last_br.entry(t.t.0).or_insert(0);
         if t.br_cnt > *last {
             *last = t.br_cnt;
-            cost += self.common.cost.ts_br_track;
+            cost += self.core.cost.ts_br_track;
         }
         acct.charge(Category::Misc, cost);
         false
     }
 
     fn note_units(&mut self, n: u64, acct: &mut TimeAccount) {
-        self.common.tick_n(n, acct);
+        self.core.tick_n(n, acct);
     }
 
     fn on_switch(
@@ -1661,15 +1433,16 @@ impl Coordinator for TsPrimary {
         to: &ThreadSnap,
         acct: &mut TimeAccount,
     ) {
+        let PrimaryState::Ts { pending_from, .. } = &mut self.state else { return };
         if let Some(f) = from {
             if f.vt.is_some() {
-                self.pending_from = Some(f.clone());
+                *pending_from = Some(f.clone());
             }
         }
         if to.vt.is_none() {
             return; // switches to system threads are not replicated
         }
-        if let Some(prev) = self.pending_from.take() {
+        if let Some(prev) = pending_from.take() {
             if prev.t != to.t {
                 let rec = Record::Sched {
                     t: prev.vt.clone().expect("pending_from is an app thread"),
@@ -1681,19 +1454,67 @@ impl Coordinator for TsPrimary {
                     in_native: prev.in_native,
                     next: to.vt.clone().expect("checked vt above"),
                 };
-                let cost = self.common.cost.sched_record;
-                self.common.log(rec, Category::Resched, cost, acct);
+                let cost = self.core.cost.sched_record;
+                self.core.log(rec, Category::Resched, cost, acct);
             }
         }
     }
 
-    fn begin_output(
+    fn post_monitor_acquire(
         &mut self,
         t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
+        _obj: ObjRef,
+        l_id: Option<u64>,
+        l_asn: u64,
         acct: &mut TimeAccount,
-    ) -> u64 {
-        self.common.begin_output(t, acct)
+    ) -> Option<u64> {
+        let assigned = match &mut self.state {
+            PrimaryState::Lock { next_l_id } => {
+                let vt = PrimaryCore::vt(t);
+                let (l_id, assigned) = match l_id {
+                    Some(id) => (id, None),
+                    None => {
+                        // First acquisition anywhere: assign the virtual
+                        // lock id and log the id map (§4.2).
+                        let id = *next_l_id;
+                        *next_l_id += 1;
+                        let id_map_cost = self.core.cost.id_map_record;
+                        self.core.log(
+                            Record::IdMap { l_id: id, t: vt.clone(), t_asn: t.t_asn },
+                            Category::LockAcquire,
+                            id_map_cost,
+                            acct,
+                        );
+                        (id, Some(id))
+                    }
+                };
+                let lock_cost = self.core.cost.lock_record;
+                self.core.log(
+                    Record::LockAcq { t: vt, t_asn: t.t_asn, l_id, l_asn },
+                    Category::LockAcquire,
+                    lock_cost,
+                    acct,
+                );
+                assigned
+            }
+            PrimaryState::Interval { open } => {
+                let vt = PrimaryCore::vt(t);
+                acct.charge(Category::LockAcquire, self.core.cost.interval_update);
+                match open {
+                    Some((open_t, _, count)) if *open_t == vt => *count += 1,
+                    _ => {
+                        if let Some(closed) = open.replace((vt, t.t_asn, 1)) {
+                            log_interval(&mut self.core, closed, acct);
+                        }
+                    }
+                }
+                None
+            }
+            PrimaryState::Ts { .. } => return None,
+        };
+        self.core.stats.locks_acquired += 1;
+        self.core.stats.largest_lasn = self.core.stats.largest_lasn.max(l_asn);
+        assigned
     }
 
     fn pre_native(
@@ -1703,7 +1524,7 @@ impl Coordinator for TsPrimary {
         _args: &[Value],
         acct: &mut TimeAccount,
     ) -> NativeDirective {
-        self.common.pre_native(decl, acct)
+        self.core.pre_native(decl, acct)
     }
 
     fn post_native(
@@ -1715,11 +1536,29 @@ impl Coordinator for TsPrimary {
         env: &ftjvm_vm::SimEnv,
         acct: &mut TimeAccount,
     ) {
-        self.common.post_native(env, t, decl, outcome, output_id, acct);
+        // An intercepted native's result record must be ordered after the
+        // interval that covers the acquisitions preceding it.
+        if matches!(self.state, PrimaryState::Interval { open: Some(_) })
+            && (decl.nondeterministic || self.core.se_manages(&decl.name))
+        {
+            self.close_open(acct);
+        }
+        self.core.post_native(env, t, decl, outcome, output_id, acct);
+    }
+
+    fn begin_output(
+        &mut self,
+        t: &ThreadObs<'_>,
+        _decl: &NativeDecl,
+        acct: &mut TimeAccount,
+    ) -> u64 {
+        self.close_open(acct);
+        self.core.begin_output(t, acct)
     }
 
     fn on_exit(&mut self, acct: &mut TimeAccount) {
-        self.common.finish(acct);
+        self.close_open(acct);
+        self.core.finish(acct);
     }
 }
 
@@ -1729,8 +1568,8 @@ mod tests {
     use ftjvm_netsim::NetParams;
 
     fn core_with(fault: FaultPlan) -> PrimaryCore {
-        let channel = SimChannel::new(NetParams::default());
-        PrimaryCore::new(channel, CostModel::default(), fault, SeRegistry::with_builtins())
+        let channel = LogChannel::Perfect(SimChannel::new(NetParams::default()));
+        PrimaryCore::new(vec![channel], CostModel::default(), fault, SeRegistry::with_builtins())
     }
 
     fn lock_rec(n: u64) -> Record {
@@ -1748,8 +1587,8 @@ mod tests {
         assert_eq!(core.stats.lock_acq_records, 4);
         // Below threshold: nothing sent yet.
         let sent_before = {
-            let (channel, _) = core.into_parts();
-            channel.stats().messages_sent
+            let (links, _) = core.into_parts();
+            links[0].stats().messages_sent
         };
         assert!(sent_before <= 4, "some records may have flushed at the boundary");
     }
@@ -1763,8 +1602,8 @@ mod tests {
             core.log(lock_rec(n), Category::LockAcquire, SimTime::from_nanos(10), &mut acct);
         }
         assert_eq!(core.stats.flushes, 5);
-        let (channel, stats) = core.into_parts();
-        assert_eq!(channel.stats().messages_sent, 5);
+        let (links, stats) = core.into_parts();
+        assert_eq!(links[0].stats().messages_sent, 5);
         assert_eq!(stats.lock_acq_records, 5);
     }
 

@@ -28,13 +28,14 @@
 //! resolved with the side-effect handlers' `test` — which is sound then,
 //! because the detection instant is after the primary's last action.
 
-use crate::backup::{BackupLog, IntervalBackup, LockSyncBackup, ResumeSeed, TsBackup};
+use crate::backup::{Backup, BackupLog, ResumeSeed};
 use crate::codec::build_snapshot_chunk;
-use crate::ftjvm::{FtJvm, LockVariant, ReplicationMode};
+use crate::ftjvm::{FtJvm, Technique};
 use crate::primary::{
-    decode_vt_map, IntervalPrimary, LockSyncPrimary, LogChannel, PrimaryCore, ReliableLink,
-    TsPrimary, EXT_CODEC_CTX, EXT_COUNTERS, EXT_ND_SEQ, EXT_OUT_SEQ, EXT_SE_LATEST,
+    decode_vt_map, LogChannel, Primary, PrimaryCore, ReliableLink, EXT_CODEC_CTX, EXT_COUNTERS,
+    EXT_ND_SEQ, EXT_OUT_SEQ, EXT_SE_LATEST,
 };
+use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{
@@ -43,9 +44,8 @@ use ftjvm_netsim::{
 use ftjvm_vm::ThreadIdx;
 use ftjvm_vm::{
     Coordinator, RunOutcome, RunReport, SharedWorld, SimEnv, SliceOutcome, SnapshotError, Vm,
-    VmConfig, VmError, VtPath,
+    VmConfig, VmError,
 };
-use std::collections::HashMap;
 
 /// Instruction units the primary executes per co-simulation slice. Small
 /// enough that flushed frames reach the hot standby with fine granularity,
@@ -79,54 +79,22 @@ impl std::fmt::Display for LagBudget {
     }
 }
 
-/// The coordinator driving one replica's VM (private: which concrete
-/// coordinator a replica runs is the runtime's business).
-enum ReplicaCoord {
-    LockPrimary(LockSyncPrimary),
-    IntervalPrimary(IntervalPrimary),
-    TsPrimary(TsPrimary),
-    LockBackup(LockSyncBackup),
-    IntervalBackup(IntervalBackup),
-    TsBackup(TsBackup),
-}
-
-impl ReplicaCoord {
-    fn as_dyn(&mut self) -> &mut dyn Coordinator {
-        match self {
-            ReplicaCoord::LockPrimary(c) => c,
-            ReplicaCoord::IntervalPrimary(c) => c,
-            ReplicaCoord::TsPrimary(c) => c,
-            ReplicaCoord::LockBackup(c) => c,
-            ReplicaCoord::IntervalBackup(c) => c,
-            ReplicaCoord::TsBackup(c) => c,
-        }
-    }
-
-    fn primary_core_mut(&mut self) -> Option<&mut PrimaryCore> {
-        match self {
-            ReplicaCoord::LockPrimary(c) => Some(&mut c.common),
-            ReplicaCoord::IntervalPrimary(c) => Some(&mut c.common),
-            ReplicaCoord::TsPrimary(c) => Some(&mut c.common),
-            _ => None,
-        }
-    }
-}
-
-/// One replica: a VM plus its replication coordinator. Built by
-/// [`FtJvm`]; stepped in bounded instruction slices so a co-simulation
+/// One replica: a VM plus its replication coordinator, a [`Primary`] or a
+/// [`Backup`] — each side's operations exist only on its own type. Built
+/// by [`FtJvm`]; stepped in bounded instruction slices so a co-simulation
 /// driver can interleave a pair.
-pub struct Replica {
+pub struct Replica<C> {
     vm: Vm,
-    coord: ReplicaCoord,
+    coord: C,
 }
 
-impl std::fmt::Debug for Replica {
+impl<C: Coordinator> std::fmt::Debug for Replica<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replica").field("now", &self.now()).finish()
     }
 }
 
-impl Replica {
+impl<C: Coordinator> Replica<C> {
     /// The replica's current simulated instant.
     pub fn now(&self) -> SimTime {
         self.vm.core().acct.now()
@@ -137,7 +105,7 @@ impl Replica {
     /// # Errors
     /// Propagates fatal VM errors (including replay divergence).
     pub fn step(&mut self, max_units: u64) -> Result<SliceOutcome, VmError> {
-        self.vm.run_slice(self.coord.as_dyn(), max_units)
+        self.vm.run_slice(&mut self.coord, max_units)
     }
 
     /// Runs to completion (or crash).
@@ -145,50 +113,13 @@ impl Replica {
     /// # Errors
     /// Propagates fatal VM errors.
     pub fn run_to_end(&mut self) -> Result<RunReport, VmError> {
-        self.vm.run(self.coord.as_dyn())
-    }
-
-    /// Streams one arrived log frame into a hot backup, advancing its
-    /// clock to the frame's arrival instant. Returns the number of
-    /// heartbeat records the frame carried.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame, or if called on a replica
-    /// that is not a backup.
-    pub fn feed_frame(&mut self, arrival: SimTime, frame: Bytes) -> Result<u32, VmError> {
-        let Replica { vm, coord } = self;
-        let core = vm.core_mut();
-        core.acct.wait_until(Category::Communication, arrival);
-        match coord {
-            ReplicaCoord::LockBackup(c) => c.feed_frame(frame),
-            ReplicaCoord::IntervalBackup(c) => c.feed_frame(frame),
-            ReplicaCoord::TsBackup(c) => c.feed_frame(frame, &mut core.acct),
-            _ => Err(VmError::Internal("feed_frame on a non-backup replica".into())),
-        }
-    }
-
-    /// Promotes a streaming backup: the stream ended (the primary failed
-    /// and detection fired, or it completed), volatile environment state
-    /// is restored from the received side-effect snapshots, and replay may
-    /// run past the log into the live phase.
-    pub fn finish_stream(&mut self) {
-        {
-            let Replica { vm, coord } = &mut *self;
-            let core = vm.core_mut();
-            match coord {
-                ReplicaCoord::LockBackup(c) => c.finish_stream(&mut core.env, &core.acct),
-                ReplicaCoord::IntervalBackup(c) => c.finish_stream(&mut core.env, &core.acct),
-                ReplicaCoord::TsBackup(c) => c.finish_stream(&mut core.env, &mut core.acct),
-                _ => {}
-            }
-        }
-        self.vm.poll_suspended(self.coord.as_dyn());
+        self.vm.run(&mut self.coord)
     }
 
     /// Wakes threads a streaming backup deferred while waiting for log
     /// records (call after feeding frames).
     pub fn poll_suspended(&mut self) {
-        self.vm.poll_suspended(self.coord.as_dyn());
+        self.vm.poll_suspended(&mut self.coord);
     }
 
     /// Advances this replica's clock to `instant` (no-op if already past).
@@ -201,30 +132,14 @@ impl Replica {
     pub fn fail_env(&mut self) {
         self.vm.core_mut().env.fail();
     }
+}
 
-    /// Epoch marks a streaming backup has absorbed — its epoch
-    /// acknowledgment (0 for primaries).
-    pub(crate) fn epochs_absorbed(&self) -> u64 {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.epochs_absorbed(),
-            ReplicaCoord::IntervalBackup(c) => c.epochs_absorbed(),
-            ReplicaCoord::TsBackup(c) => c.epochs_absorbed(),
-            _ => 0,
-        }
-    }
-
-    /// Relays the backup's epoch acknowledgment into the primary's stats.
-    pub(crate) fn relay_epoch_ack(&mut self, acked: u64) {
-        if let Some(core) = self.coord.primary_core_mut() {
-            core.record_epoch_ack(acked);
-        }
-    }
-
-    /// Exits degraded mode once a replacement standby is live.
-    pub(crate) fn exit_degraded(&mut self) {
-        if let Some(core) = self.coord.primary_core_mut() {
-            core.exit_degraded();
-        }
+impl Replica<Primary> {
+    /// The primary core: fan-out, ack policy, voting and link liveness for
+    /// the group driver, epoch-ack relay and degraded mode, and each
+    /// link's delivered frames for the co-simulation's receive step.
+    pub(crate) fn core(&mut self) -> &mut PrimaryCore {
+        &mut self.coord.core
     }
 
     /// Cuts an epoch checkpoint if the interval has elapsed and the VM is
@@ -246,7 +161,7 @@ impl Replica {
             self.vm.snapshot(&ext).map(|blob| blob.len()),
             "counted snapshot length"
         );
-        self.commit_cut(len)?;
+        self.coord.core.commit_epoch(len, &mut self.vm.core_mut().acct);
         Ok(true)
     }
 
@@ -261,68 +176,39 @@ impl Replica {
     pub(crate) fn cut_epoch_blob(&mut self, force: bool) -> Result<Option<Bytes>, VmError> {
         let Some(ext) = self.prepare_cut(force) else { return Ok(None) };
         let blob = self.vm.snapshot(&ext).map_err(epoch_snapshot_error)?;
-        self.commit_cut(blob.len())?;
+        self.coord.core.commit_epoch(blob.len(), &mut self.vm.core_mut().acct);
         Ok(Some(blob))
     }
 
     /// First half of every cut: the interval (unless `force`d),
     /// quiescence, and coordinator-readiness gates, then the primary's
     /// flush and extension sections. `None` when no cut may happen here.
+    /// The second half is [`PrimaryCore::commit_epoch`]: the epoch mark,
+    /// suffix truncation, and the serialization charge.
     fn prepare_cut(&mut self, force: bool) -> Option<Vec<(u8, Bytes)>> {
-        let wants = self.coord.primary_core_mut().is_some_and(|c| force || c.wants_epoch_cut());
-        if !wants || !self.vm.quiescent() {
+        if !(force || self.coord.core.wants_epoch_cut()) || !self.vm.quiescent() {
             return None;
         }
-        let acct = &mut self.vm.core_mut().acct;
-        match &mut self.coord {
-            ReplicaCoord::LockPrimary(c) => Some(c.common.prepare_epoch_cut(acct)),
-            ReplicaCoord::IntervalPrimary(c) => {
-                // Close the open acquisition interval so the flushed
-                // prefix is self-contained.
-                c.close_open(acct);
-                Some(c.common.prepare_epoch_cut(acct))
-            }
-            ReplicaCoord::TsPrimary(c) => c.cut_ready().then(|| c.common.prepare_epoch_cut(acct)),
-            _ => None,
-        }
-    }
-
-    /// Second half of every cut: the epoch mark, suffix truncation, and a
-    /// serialization charge for a `snapshot_len`-byte snapshot.
-    fn commit_cut(&mut self, snapshot_len: usize) -> Result<(), VmError> {
-        let Replica { vm, coord } = self;
-        // The gate in `prepare_cut` makes a non-primary unreachable here;
-        // fail typed rather than aborting the whole process.
-        let core = coord
-            .primary_core_mut()
-            .ok_or_else(|| VmError::Internal("epoch commit on a non-primary replica".into()))?;
-        core.commit_epoch(snapshot_len, &mut vm.core_mut().acct);
-        Ok(())
+        self.coord.prepare_cut(&mut self.vm.core_mut().acct)
     }
 
     /// Ships `blob`, the snapshot of the epoch just cut, as chunk frames
     /// over fan-out link `idx` only (re-integration recruits a single
     /// standby — its peers must not see the chunks — and the cold durable
     /// store sits on link 0). Returns the epoch shipped.
-    ///
-    /// # Errors
-    /// Returns an error when the replica is not a primary.
-    pub(crate) fn ship_snapshot(&mut self, idx: usize, blob: &[u8]) -> Result<u64, VmError> {
+    pub(crate) fn ship_snapshot(&mut self, idx: usize, blob: &[u8]) -> u64 {
         /// Chunk payload size: small enough that loss retransmits stay
         /// cheap, large enough that a snapshot is a handful of frames.
         const CHUNK: usize = 4096;
-        let Replica { vm, coord } = self;
-        let core = coord
-            .primary_core_mut()
-            .ok_or_else(|| VmError::Internal("snapshot transfer from a non-primary".into()))?;
+        let core = &mut self.coord.core;
         let epoch = core.epoch();
         let total = blob.len().div_ceil(CHUNK) as u64;
-        let acct = &mut vm.core_mut().acct;
+        let acct = &mut self.vm.core_mut().acct;
         for (i, piece) in blob.chunks(CHUNK).enumerate() {
-            core.send_raw_on(idx, build_snapshot_chunk(epoch, i as u64, total, piece), acct);
+            core.send_on(idx, build_snapshot_chunk(epoch, i as u64, total, piece), acct);
         }
         core.stats.snapshot_chunks_sent += total;
-        Ok(epoch)
+        epoch
     }
 
     /// The primary half of re-integration: force-cut an epoch at the
@@ -338,169 +224,77 @@ impl Replica {
         fresh: LogChannel,
     ) -> Result<Option<u64>, VmError> {
         let Some(blob) = self.cut_epoch_blob(true)? else { return Ok(None) };
-        if let Some(core) = self.coord.primary_core_mut() {
-            // The old link pointed at the dead (or stale) standby; frames
-            // still in flight on it are lost with that host.
-            drop(core.swap_link(idx, fresh));
-        }
-        self.ship_snapshot(idx, &blob).map(Some)
+        // The old link pointed at the dead (or stale) standby; frames
+        // still in flight on it are lost with that host.
+        drop(self.coord.core.swap_link(idx, fresh));
+        Ok(Some(self.ship_snapshot(idx, &blob)))
     }
 
-    /// Consumes a primary replica, returning its channel and final
-    /// replication statistics.
+    /// Consumes the replica, returning every fan-out link in rank order
+    /// plus the final replication statistics.
+    pub(crate) fn into_parts(self) -> (Vec<LogChannel>, ReplicationStats) {
+        self.coord.core.into_parts()
+    }
+}
+
+impl Replica<Backup> {
+    /// The backup coordinator: replay progress and statistics.
+    pub(crate) fn backup(&self) -> &Backup {
+        &self.coord
+    }
+
+    /// Streams one arrived log frame into a hot backup, advancing its
+    /// clock to the frame's arrival instant. Returns the number of
+    /// heartbeat records the frame carried.
     ///
     /// # Errors
-    /// Returns a typed error (instead of panicking) when called on a
-    /// backup replica — a driver bug.
-    pub(crate) fn into_primary_parts(self) -> Result<(LogChannel, ReplicationStats), VmError> {
-        match self.coord {
-            ReplicaCoord::LockPrimary(c) => Ok(c.common.into_parts()),
-            ReplicaCoord::IntervalPrimary(c) => Ok(c.common.into_parts()),
-            ReplicaCoord::TsPrimary(c) => Ok(c.common.into_parts()),
-            _ => Err(VmError::Internal("into_primary_parts on a backup replica".into())),
-        }
+    /// Returns an error for a malformed frame.
+    pub fn feed_frame(&mut self, arrival: SimTime, frame: Bytes) -> Result<u32, VmError> {
+        let acct = &mut self.vm.core_mut().acct;
+        acct.wait_until(Category::Communication, arrival);
+        self.coord.feed_frame(frame, acct)
     }
 
-    /// Backup-side replication statistics (empty for primaries).
-    pub(crate) fn backup_stats(&self) -> ReplicationStats {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.stats().clone(),
-            ReplicaCoord::IntervalBackup(c) => c.stats().clone(),
-            ReplicaCoord::TsBackup(c) => c.stats().clone(),
-            _ => ReplicationStats::default(),
-        }
-    }
-
-    /// Simulated instant at which the backup's log replay completed.
-    pub(crate) fn recovery_completed_at(&self) -> Option<SimTime> {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.recovery_completed_at(),
-            ReplicaCoord::IntervalBackup(c) => c.recovery_completed_at(),
-            ReplicaCoord::TsBackup(c) => c.recovery_completed_at(),
-            _ => None,
-        }
-    }
-
-    /// True once a backup's replay fully consumed its log (trivially true
-    /// for primaries).
-    pub(crate) fn recovery_complete(&self) -> bool {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.recovery_complete(),
-            ReplicaCoord::IntervalBackup(c) => c.recovery_complete(),
-            ReplicaCoord::TsBackup(c) => c.recovery_complete(),
-            _ => true,
-        }
-    }
-
-    /// Replay records still unconsumed on a backup — a promotion must run
-    /// the VM until this reaches zero (0 for primaries).
-    pub(crate) fn replay_pending(&self) -> u64 {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.replay_pending(),
-            ReplicaCoord::IntervalBackup(c) => c.replay_pending(),
-            ReplicaCoord::TsBackup(c) => c.replay_pending(),
-            _ => 0,
-        }
-    }
-
-    /// The primary core, for group drivers configuring fan-out, ack
-    /// policy, voting, and link liveness (None for backups).
-    pub(crate) fn primary_core(&mut self) -> Option<&mut PrimaryCore> {
-        self.coord.primary_core_mut()
-    }
-
-    /// Verified in-order frames delivered on fan-out link `idx` by `now` —
-    /// the co-simulation drivers' receive step.
-    ///
-    /// # Errors
-    /// Returns a typed error (instead of panicking) when called on a
-    /// replica without a channel — a misconfigured driver.
-    pub(crate) fn recv_ready(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-    ) -> Result<Vec<(SimTime, Bytes)>, VmError> {
-        match self.coord.primary_core_mut() {
-            Some(core) => Ok(core.link_mut(idx).recv_ready(now)),
-            None => Err(VmError::Internal(
-                "co-simulated primary replica has no replication channel".into(),
-            )),
-        }
-    }
-
-    /// Consumes a primary replica, returning every fan-out link in rank
-    /// order plus the final replication statistics.
-    ///
-    /// # Errors
-    /// Returns a typed error when called on a backup replica.
-    pub(crate) fn into_group_parts(self) -> Result<(Vec<LogChannel>, ReplicationStats), VmError> {
-        match self.coord {
-            ReplicaCoord::LockPrimary(c) => Ok(c.common.into_group_parts()),
-            ReplicaCoord::IntervalPrimary(c) => Ok(c.common.into_group_parts()),
-            ReplicaCoord::TsPrimary(c) => Ok(c.common.into_group_parts()),
-            _ => Err(VmError::Internal("into_group_parts on a backup replica".into())),
-        }
+    /// Promotes a streaming backup: the stream ended (the primary failed
+    /// and detection fired, or it completed), volatile environment state
+    /// is restored from the received side-effect snapshots, and replay may
+    /// run past the log into the live phase.
+    pub fn finish_stream(&mut self) {
+        let core = self.vm.core_mut();
+        self.coord.finish_stream(&mut core.env, &mut core.acct);
+        self.vm.poll_suspended(&mut self.coord);
     }
 
     /// Promotes a *finished* streaming backup to primary **in place**: the
     /// replayed VM keeps running, only the coordinator changes sides. The
-    /// new reign starts with `extra_links + 1` fan-out links (all fresh
-    /// transports, all marked dead — survivors re-home via per-link state
-    /// transfer), the output-id allocator continues the dead reign's
-    /// exactly-once numbering, the side-effect registry moves over from
-    /// the replay, and the lock-id / branch-counter allocators seed from
-    /// the replayed VM so fresh assignments never collide with history.
+    /// new reign starts with `links` fan-out links (all fresh transports,
+    /// all marked dead — survivors re-home via per-link state transfer),
+    /// the output-id allocator continues the dead reign's exactly-once
+    /// numbering, the side-effect registry moves over from the replay, and
+    /// the lock-id / branch-counter allocators seed from the replayed VM so
+    /// fresh assignments never collide with history.
     ///
     /// # Errors
     /// Typed [`crate::backup::ReplayError::PromotionIncomplete`] when
-    /// replay records are still unconsumed, and a driver-bug error when
-    /// called on a primary.
+    /// replay records are still unconsumed.
     pub(crate) fn promote(
         self,
         jvm: &FtJvm,
         fault: FaultPlan,
-        extra_links: usize,
-    ) -> Result<Replica, VmError> {
-        enum Kind {
-            Lock,
-            Interval,
-            Ts,
-        }
+        links: usize,
+    ) -> Result<Replica<Primary>, VmError> {
         let Replica { vm, coord } = self;
-        let (parts, kind) = match coord {
-            ReplicaCoord::LockBackup(c) => (c.into_promotion_parts(), Kind::Lock),
-            ReplicaCoord::IntervalBackup(c) => (c.into_promotion_parts(), Kind::Interval),
-            ReplicaCoord::TsBackup(c) => (c.into_promotion_parts(), Kind::Ts),
-            _ => return Err(VmError::Internal("promote on a primary replica".into())),
-        };
-        let parts = parts.map_err(|e| e.at(ThreadIdx(0)))?;
-        let cfg = &jvm.cfg;
-        let mut core =
-            PrimaryCore::with_transport(jvm.make_channel(), cfg.vm.cost.clone(), fault, parts.se);
-        core.flush_threshold = cfg.flush_threshold;
-        core.set_codec(cfg.codec);
-        core.set_heartbeat_interval(cfg.detector.interval());
-        core.set_checkpoint_interval(cfg.checkpoint_interval);
+        let parts = coord.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
+        let mut core = jvm.primary_core(links, fault, parts.se);
         core.seed_outputs(parts.next_output, parts.commit_samples);
-        core.enable_fanout((0..extra_links).map(|_| jvm.make_channel()).collect());
         // No standby is live until the driver re-recruits it: mark every
         // link dead and start degraded (uncovered outputs are counted).
-        for idx in 0..core.link_count() {
+        for idx in 0..links {
             core.mark_link_dead(idx);
         }
         core.enter_degraded();
-        let coord = match kind {
-            Kind::Lock => {
-                let next_l_id = vm.core().monitors.max_lock_id().map_or(0, |m| m + 1);
-                ReplicaCoord::LockPrimary(LockSyncPrimary::resumed(core, next_l_id))
-            }
-            Kind::Interval => ReplicaCoord::IntervalPrimary(IntervalPrimary::new(core)),
-            Kind::Ts => {
-                let last_br: HashMap<u32, u64> =
-                    vm.core().threads.iter().map(|t| (t.idx.0, t.br_cnt)).collect();
-                ReplicaCoord::TsPrimary(TsPrimary::resumed(core, last_br))
-            }
-        };
+        let technique = Technique::of(jvm.cfg.mode, jvm.cfg.lock_variant);
+        let coord = Primary::promoted(core, technique, vm.core());
         Ok(Replica { vm, coord })
     }
 }
@@ -562,38 +356,48 @@ impl FtJvm {
         }
     }
 
+    /// The configured primary machinery over `links` fresh fan-out links,
+    /// one per standby.
+    fn primary_core(&self, links: usize, fault: FaultPlan, se: SeRegistry) -> PrimaryCore {
+        let links = (0..links).map(|_| self.make_channel()).collect();
+        let mut core = PrimaryCore::new(links, self.cfg.vm.cost.clone(), fault, se);
+        core.flush_threshold = self.cfg.flush_threshold;
+        core.set_codec(self.cfg.codec);
+        core.set_heartbeat_interval(self.cfg.detector.interval());
+        core.set_checkpoint_interval(self.cfg.checkpoint_interval);
+        core
+    }
+
     /// Builds the primary replica: a VM with the mode's logging
     /// coordinator over a fresh channel.
     ///
     /// # Errors
     /// Propagates program-loading errors.
-    pub fn build_primary(&self, world: &SharedWorld, fault: FaultPlan) -> Result<Replica, VmError> {
-        let mut core = PrimaryCore::with_transport(
-            self.make_channel(),
-            self.cfg.vm.cost.clone(),
-            fault,
-            (self.cfg.se_factory)(),
-        );
-        core.flush_threshold = self.cfg.flush_threshold;
-        core.set_codec(self.cfg.codec);
-        core.set_heartbeat_interval(self.cfg.detector.interval());
-        core.set_checkpoint_interval(self.cfg.checkpoint_interval);
+    pub fn build_primary(
+        &self,
+        world: &SharedWorld,
+        fault: FaultPlan,
+    ) -> Result<Replica<Primary>, VmError> {
+        self.build_fanout_primary(world, fault, 1)
+    }
+
+    /// [`build_primary`](Self::build_primary) with `links` fan-out links,
+    /// one per standby of a replica group, in rank order.
+    pub(crate) fn build_fanout_primary(
+        &self,
+        world: &SharedWorld,
+        fault: FaultPlan,
+        links: usize,
+    ) -> Result<Replica<Primary>, VmError> {
+        let core = self.primary_core(links, fault, (self.cfg.se_factory)());
         let vm = Vm::new(
             self.program.clone(),
             self.natives.clone(),
             self.primary_env(world),
             self.vm_config(self.cfg.primary_seed),
         )?;
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockPrimary(LockSyncPrimary::new(core))
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => {
-                ReplicaCoord::IntervalPrimary(IntervalPrimary::new(core))
-            }
-            (ReplicationMode::ThreadSched, _) => ReplicaCoord::TsPrimary(TsPrimary::new(core)),
-        };
-        Ok(Replica { vm, coord })
+        let technique = Technique::of(self.cfg.mode, self.cfg.lock_variant);
+        Ok(Replica { vm, coord: Primary::new(core, technique) })
     }
 
     /// Builds a hot (streaming) backup replica whose log starts empty: the
@@ -601,7 +405,11 @@ impl FtJvm {
     ///
     /// # Errors
     /// Propagates program-loading errors.
-    pub fn build_hot_backup(&self, world: &SharedWorld, rank: u32) -> Result<Replica, VmError> {
+    pub fn build_hot_backup(
+        &self,
+        world: &SharedWorld,
+        rank: u32,
+    ) -> Result<Replica<Backup>, VmError> {
         let se = (self.cfg.se_factory)();
         let vm = Vm::new(
             self.program.clone(),
@@ -610,17 +418,8 @@ impl FtJvm {
             self.vm_config(self.ranked_backup_seed(rank)),
         )?;
         let cost = self.cfg.vm.cost.clone();
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockBackup(LockSyncBackup::streaming(world.clone(), se, cost))
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => {
-                ReplicaCoord::IntervalBackup(IntervalBackup::streaming(world.clone(), se, cost))
-            }
-            (ReplicationMode::ThreadSched, _) => {
-                ReplicaCoord::TsBackup(TsBackup::streaming(world.clone(), se, cost))
-            }
-        };
+        let technique = Technique::of(self.cfg.mode, self.cfg.lock_variant);
+        let coord = Backup::streaming(world.clone(), se, cost, technique);
         Ok(Replica { vm, coord })
     }
 
@@ -634,7 +433,7 @@ impl FtJvm {
         &self,
         world: &SharedWorld,
         frames: Vec<Bytes>,
-    ) -> Result<Replica, VmError> {
+    ) -> Result<Replica<Backup>, VmError> {
         let mut se = (self.cfg.se_factory)();
         let log = BackupLog::decode(frames, &mut se)?;
         let mut benv = self.backup_env(world, 0);
@@ -648,17 +447,8 @@ impl FtJvm {
             self.vm_config(self.cfg.backup_seed),
         )?;
         let cost = self.cfg.vm.cost.clone();
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockBackup(LockSyncBackup::new(log, world.clone(), se, cost))
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => {
-                ReplicaCoord::IntervalBackup(IntervalBackup::new(log, world.clone(), se, cost))
-            }
-            (ReplicationMode::ThreadSched, _) => {
-                ReplicaCoord::TsBackup(TsBackup::new(log, world.clone(), se, cost))
-            }
-        };
+        let technique = Technique::of(self.cfg.mode, self.cfg.lock_variant);
+        let coord = Backup::new(log, world.clone(), se, cost, technique);
         Ok(Replica { vm, coord })
     }
 
@@ -678,7 +468,7 @@ impl FtJvm {
         world: &SharedWorld,
         blob: &[u8],
         rank: u32,
-    ) -> Result<Replica, VmError> {
+    ) -> Result<Replica<Backup>, VmError> {
         let (vm, ext) = Vm::restore(
             self.program.clone(),
             self.natives.clone(),
@@ -722,37 +512,8 @@ impl FtJvm {
             }
         }
         let cost = self.cfg.vm.cost.clone();
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockBackup(LockSyncBackup::resumed(world.clone(), se, cost, seed)?)
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => ReplicaCoord::IntervalBackup(
-                IntervalBackup::resumed(world.clone(), se, cost, seed)?,
-            ),
-            (ReplicationMode::ThreadSched, _) => {
-                // The cut happened with no schedule record half-captured,
-                // so the thread current on the primary is the designated
-                // thread; the restored VM preserves it. Branch counters
-                // seed from the restored threads so progress-cost
-                // accounting continues rather than restarting.
-                let core = vm.core();
-                let designated = core
-                    .current
-                    .and_then(|idx| core.threads.get(idx.0 as usize))
-                    .and_then(|t| t.vt.clone())
-                    .or_else(|| Some(VtPath::root()));
-                let last_br: HashMap<u32, u64> =
-                    core.threads.iter().map(|t| (t.idx.0, t.br_cnt)).collect();
-                ReplicaCoord::TsBackup(TsBackup::resumed(
-                    world.clone(),
-                    se,
-                    cost,
-                    seed,
-                    designated,
-                    last_br,
-                )?)
-            }
-        };
+        let technique = Technique::of(self.cfg.mode, self.cfg.lock_variant);
+        let coord = Backup::resumed(world.clone(), se, cost, seed, technique, vm.core())?;
         Ok(Replica { vm, coord })
     }
 
@@ -770,8 +531,9 @@ impl FtJvm {
         if report.outcome == RunOutcome::Stopped {
             primary.fail_env();
         }
-        let (channel, stats) = primary.into_primary_parts()?;
-        Ok((report, channel, stats))
+        // `build_primary` builds exactly one link.
+        let (mut links, stats) = primary.into_parts();
+        Ok((report, links.swap_remove(0), stats))
     }
 
     /// Runs the primary to completion (or crash) and returns its report,
@@ -806,6 +568,7 @@ impl FtJvm {
     ) -> Result<(RunReport, ReplicationStats, Option<SimTime>), VmError> {
         let mut backup = self.build_cold_backup(world, frames)?;
         let report = backup.run_to_end()?;
-        Ok((report, backup.backup_stats(), backup.recovery_completed_at()))
+        let b = backup.backup();
+        Ok((report, b.stats().clone(), b.recovery_completed_at()))
     }
 }

@@ -58,7 +58,8 @@ pub struct ReplicationStats {
     /// Epochs the backup acknowledged as absorbed (driver-relayed).
     pub epochs_acked: u64,
     /// Peak send-side channel depth sampled at flush time (unacked frames
-    /// on a reliable transport, in-flight frames on a perfect one).
+    /// on a reliable transport, in-flight frames on a perfect one). Link 0
+    /// only: a group primary's other fan-out links are not sampled.
     pub peak_send_window: u64,
     /// Peak retained-suffix size in frames — the re-integration replay
     /// buffer, truncated at every epoch cut, so with checkpointing enabled

@@ -31,7 +31,7 @@ fn usage() -> ! {
          \n\
          options:\n\
            --mode lock|ts        replication technique (default lock)\n\
-           --variant records|intervals   lock-record encoding (default records)\n\
+           --variant records|intervals   lock-record encoding, --mode lock only (default records)\n\
            --codec fixed|compact wire codec (default fixed)\n\
            --crash-at <units>    kill the primary after N execution units\n\
            --crash-before-output <n>  kill in output n's uncertain window\n\
@@ -452,6 +452,13 @@ fn main() {
         i += 1;
     }
 
+    if cfg.mode == ReplicationMode::ThreadSched && cfg.lock_variant == ftjvm::LockVariant::Intervals
+    {
+        eprintln!(
+            "--variant intervals requires --mode lock (thread scheduling logs no lock records)"
+        );
+        usage()
+    }
     if disasm {
         print!("{}", ftjvm::vm::disasm::disassemble(&w.program));
         return;

@@ -25,7 +25,10 @@
 
 use ftjvm::netsim::{Category, FailureDetector, FaultPlan, SimTime, WireCodec};
 use ftjvm::workloads::micro;
-use ftjvm::{AckPolicy, FtConfig, FtJvm, GroupConfig, GroupReport, NetFaultPlan, ReplicationMode};
+use ftjvm::{
+    AckPolicy, FtConfig, FtJvm, GroupConfig, GroupReport, LockVariant, NetFaultPlan,
+    ReplicationMode,
+};
 
 fn mixed_plan(seed: u64, drop: f64) -> NetFaultPlan {
     NetFaultPlan {
@@ -347,6 +350,47 @@ const EPOCH_PINNED: &[(&str, &str)] = &[
     ("clean3/thread-sched/Compact", "m0:cuts=2 at=[26, 78] snap=3595 suffix=52/3062 acct=[243840, 5553000, 0, 0, 811464, 11784700] m1:cuts=2 at=[26, 53] snap=6904 suffix=49/2920 acct=[485700, 22831334, 0, 0, 3590539, 5595990]"),
     ("fleet-slot/29", "m0:cuts=2 at=[26, 78] snap=3593 suffix=52/3062 acct=[192900, 2513520, 0, 0, 694890, 10640000]"),
 ];
+
+// --- the interval variant ---------------------------------------------------
+//
+// Every run above records one lock record per acquisition. This one runs
+// `jack` (which takes monitors between its outputs) under interval
+// compression in a 3-replica group and kills the first primary, so a
+// standby promotes in place to an interval primary with an extra link and
+// re-homes the other seat by state transfer.
+
+fn interval_group_fingerprint() -> String {
+    let w = ftjvm::workloads::jack::workload();
+    let cfg = FtConfig {
+        lock_variant: LockVariant::Intervals,
+        ..group_cfg(ReplicationMode::LockSync, WireCodec::Fixed)
+    };
+    let gcfg = GroupConfig {
+        size: 3,
+        kills: vec![FaultPlan::AfterInstructions(400_000)],
+        ..GroupConfig::default()
+    };
+    let r = FtJvm::new(w.program, cfg).run_group(gcfg).expect("interval group");
+    r.check_no_duplicate_outputs().unwrap_or_else(|id| panic!("dup output {id}"));
+    assert_eq!(r.failovers.len(), 1, "the kill must fail over once");
+    format!("{} | {}", fingerprint(&r), epoch_fingerprint(&r))
+}
+
+/// `cargo test --release --test group_equivalence generate_interval_pin --
+/// --ignored --nocapture` regenerates [`INTERVAL_GROUP_PINNED`].
+#[test]
+#[ignore = "fingerprint generator, not a check"]
+fn generate_interval_pin() {
+    println!("{}", interval_group_fingerprint());
+}
+
+#[test]
+fn interval_group_pinned() {
+    assert_eq!(interval_group_fingerprint(), INTERVAL_GROUP_PINNED, "interval group diverged");
+}
+
+#[rustfmt::skip]
+const INTERVAL_GROUP_PINNED: &str = "crc=0x540b480f lines=2 completed=true survivor=1 failovers=1 promoted=[1] evictions=0 reigns=[m0:548/92410/22,m1:1172/211656/19] det=[1890630] suffix=[0] | m0:cuts=2 at=[17, 20] snap=20414 suffix=274/49904 acct=[56656160, 36458820, 445880, 0, 2522900, 1916000] m1:cuts=6 at=[1, 2, 6, 10, 13, 17] snap=102489 suffix=276/49985 acct=[184740600, 143585650, 1366860, 0, 34203940, 239500]";
 
 // --- the lossy transport ----------------------------------------------------
 //

@@ -14,7 +14,8 @@
 use ftjvm::netsim::{FailureDetector, FaultPlan, SimTime, WireCodec};
 use ftjvm::workloads::{micro, Workload};
 use ftjvm::{
-    CheckpointPlan, FtConfig, FtJvm, LagBudget, NetFaultPlan, PairReport, ReplicationMode,
+    CheckpointPlan, FtConfig, FtJvm, LagBudget, LockVariant, NetFaultPlan, PairReport,
+    ReplicationMode,
 };
 
 /// One pinned configuration's observable fingerprint.
@@ -155,6 +156,7 @@ fn generate_digests() {
         ("COLD_CHECKPOINTED_PINNED", cold_checkpointed_pins()),
         ("LOSSY_COLD_PINNED", lossy_cold_pins()),
         ("BACKUP_REPLAY_PINNED", backup_replay_pins()),
+        ("INTERVAL_PINNED", interval_pins()),
     ] {
         println!("{table}:");
         for (key, p) in pins {
@@ -1114,6 +1116,78 @@ fn lossy_cold_pinned() {
 fn backup_replay_pinned() {
     check_pins(backup_replay_pins(), BACKUP_REPLAY_PINNED);
 }
+
+/// The interval variant of lock synchronization, which no table above
+/// reaches: `jack` and `db` per lag budget × codec at their sweep crash
+/// points, then per codec a checkpointed hot `jack` pair whose standby is
+/// killed and re-integrated from a snapshot before the primary crashes —
+/// a resumed interval standby, and cuts that close the open interval.
+fn interval_pins() -> Vec<(String, Pin)> {
+    let mut out = Vec::new();
+    for w in [ftjvm::workloads::jack::workload(), ftjvm::workloads::db::workload()] {
+        for lag_budget in [LagBudget::Cold, LagBudget::Hot] {
+            for codec in CODECS {
+                let key = format!("{}/{lag_budget}/{codec:?}", w.name);
+                let cfg = FtConfig {
+                    lock_variant: LockVariant::Intervals,
+                    codec,
+                    lag_budget,
+                    fault: crash_fault(w.name),
+                    ..FtConfig::default()
+                };
+                let report = FtJvm::new(w.program.clone(), cfg)
+                    .run_with_failure()
+                    .unwrap_or_else(|e| panic!("{key}: {e}"));
+                report.check_no_duplicate_outputs().unwrap_or_else(|id| panic!("{key}: dup {id}"));
+                out.push((key, pin(&report)));
+            }
+        }
+    }
+    let w = ftjvm::workloads::jack::workload();
+    for codec in CODECS {
+        let key = format!("reintegrate/{codec:?}");
+        let cfg = FtConfig {
+            lock_variant: LockVariant::Intervals,
+            codec,
+            lag_budget: LagBudget::Hot,
+            checkpoint_interval: Some(3),
+            detector: FailureDetector::new(SimTime::from_millis(1), 2),
+            ..FtConfig::default()
+        };
+        let report = FtJvm::new(w.program.clone(), cfg)
+            .run_checkpointed(CheckpointPlan {
+                fault: FaultPlan::AfterInstructions(900_000),
+                kill_backup_after_units: Some(50_000),
+                reintegrate: true,
+            })
+            .unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert!(report.reintegrated, "{key}: replacement standby must go live");
+        assert!(report.pair.crashed, "{key}: late crash must fire");
+        assert!(report.pair.primary_stats.epochs_cut > 0, "{key}: no epoch cut");
+        report.pair.check_no_duplicate_outputs().unwrap_or_else(|id| panic!("{key}: dup {id}"));
+        out.push((key, pin(&report.pair)));
+    }
+    out
+}
+
+#[test]
+fn interval_variant_pinned() {
+    check_pins(interval_pins(), INTERVAL_PINNED);
+}
+
+#[rustfmt::skip]
+const INTERVAL_PINNED: &[(&str, Pin)] = &[
+    pin!("jack/cold/Fixed", [0x540b480f, 2, 548, 92410, 21, 2, true, 123502540, 52752010, 176254550], 0x802fc26, Some(0), Some(185198800)),
+    pin!("jack/cold/Compact", [0x540b480f, 2, 548, 31896, 17, 2, true, 138440080, 30483110, 168923190], 0x18b2eb16, Some(0), Some(185011000)),
+    pin!("jack/hot/Fixed", [0x540b480f, 2, 548, 92410, 21, 2, true, 123502540, 0, 123502540], 0x802fc26, Some(764), Some(332549470)),
+    pin!("jack/hot/Compact", [0x540b480f, 2, 548, 31896, 17, 2, true, 138416100, 0, 138416100], 0x18b2eb16, Some(2142), Some(354612790)),
+    pin!("db/cold/Fixed", [0x955d550f, 7, 61, 1960, 2, 3, true, 127835750, 102274570, 230110320], 0xf1df10b3, Some(0), Some(407534260)),
+    pin!("db/cold/Compact", [0x955d550f, 7, 61, 416, 2, 3, true, 128874050, 102274570, 231148620], 0xbf37f868, Some(0), Some(407534260)),
+    pin!("db/hot/Fixed", [0x955d550f, 7, 61, 1960, 2, 3, true, 127807650, 0, 127807650], 0xf1df10b3, Some(14935), Some(555366730)),
+    pin!("db/hot/Compact", [0x955d550f, 7, 61, 416, 2, 3, true, 128849070, 0, 128849070], 0xbf37f868, Some(14935), Some(555369550)),
+    pin!("reintegrate/Fixed", [0x540b480f, 2, 1175, 205734, 32, 144, true, 1259720, 0, 1259720], 0xc94a64f0, Some(765), Some(251576680)),
+    pin!("reintegrate/Compact", [0x540b480f, 2, 1172, 70481, 21, 137, true, 1192220, 0, 1192220], 0x813afcc4, Some(2157), Some(232666360)),
+];
 
 #[rustfmt::skip]
 const COLD_CHECKPOINTED_PINNED: &[(&str, Pin)] = &[

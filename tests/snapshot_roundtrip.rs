@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use ftjvm::netsim::{FaultPlan, SimChannel, WireCodec};
-use ftjvm::replication::{LockSyncPrimary, PrimaryCore};
+use ftjvm::replication::{LogChannel, Primary, PrimaryCore, Technique};
 use ftjvm::vm::class::builtin;
 use ftjvm::vm::coordinator::NoopCoordinator;
 use ftjvm::vm::program::ProgramBuilder;
@@ -187,14 +187,14 @@ proptest! {
         let codec = if compact { WireCodec::Compact } else { WireCodec::Fixed };
         let cfg = FtConfig::default();
         let mut core = PrimaryCore::new(
-            SimChannel::new(cfg.vm.cost.net.clone()),
+            vec![LogChannel::Perfect(SimChannel::new(cfg.vm.cost.net.clone()))],
             cfg.vm.cost.clone(),
             FaultPlan::None,
             (cfg.se_factory)(),
         );
         core.set_codec(codec);
         core.set_checkpoint_interval(Some(1));
-        let mut coord = LockSyncPrimary::new(core);
+        let mut coord = Primary::new(core, Technique::Lock);
         let env = SimEnv::new("p", World::shared(), ftjvm::netsim::SimTime::ZERO, 7);
         let mut vm = Vm::new(program, NativeRegistry::with_builtins(), env, cfg.vm.clone())
             .expect("vm builds");
@@ -214,7 +214,7 @@ proptest! {
             vm.poll_suspended(&mut coord);
             slices += 1;
             if (slices >= due && vm.quiescent()) || !running {
-                let mut ext = coord.common.prepare_epoch_cut(&mut vm.core_mut().acct);
+                let mut ext = coord.core.prepare_epoch_cut(&mut vm.core_mut().acct);
                 ext.extend(extra.iter().cloned());
                 let blob = vm.snapshot(&ext).expect("quiescent VM snapshots");
                 prop_assert_eq!(
