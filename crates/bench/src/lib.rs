@@ -1,28 +1,64 @@
 //! Measurement harness regenerating every table and figure of the paper's
-//! evaluation (§5): Table 2 (benchmark event profiles), Figure 2
-//! (normalized execution times of both techniques, primary and backup),
-//! Figure 3 (lock-sync overhead breakdown) and Figure 4 (thread-scheduling
-//! overhead breakdown).
+//! evaluation (§5) — Table 2 and Figures 2-4 — plus the failover,
+//! netfault, ablation, density, reintegrate and group tables.
 //!
-//! Each binary in `src/bin/` prints one artifact:
-//! `cargo run -p ftjvm-bench --release --bin table2` (likewise `fig2`,
-//! `fig3`, `fig4`). Ten of them — those four plus `failover`,
-//! `netfault`, `ablations`, `density`, `reintegrate` and `group` — print
-//! only simulated time and counts, so their output is a pure function of
-//! the code and is committed byte for byte under `docs/results/`. Two
-//! report host wall-clock: `interp` (fused vs per-unit `match` dispatch,
-//! gated by `--check` against `BENCH_interpreter.json`) and `fleet`
-//! (whose simulated half is pinned by `tests/fleet.rs`). Host-time
-//! performance of the replication layers is the `benchmark/` package's
-//! job.
+//! Each of these ten artifacts is a [`render`] function returning its
+//! text. They print only simulated time and counts, so the text is a pure
+//! function of the code, committed byte for byte as
+//! `docs/results/<name>.txt` and compared by the root package's
+//! `results_golden` test. One bin prints or rewrites them:
+//! `cargo run -p ftjvm-bench --release --bin results [<name>...] [--write]`.
+//! Two bins report host wall-clock: `interp` (gated by `--check` against
+//! `BENCH_interpreter.json`) and `fleet` (whose simulated half
+//! `tests/fleet.rs` pins). The `benchmark/` package times the replication
+//! layers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ftjvm_core::{FtConfig, FtJvm, LagBudget, ReplicationMode, ReplicationStats};
-use ftjvm_netsim::{Category, FaultPlan, SimTime, TimeAccount};
+mod figures;
+
+pub use figures::*;
+
+use ftjvm_core::{FtConfig, FtJvm, ReplicationMode, ReplicationStats};
+use ftjvm_netsim::{Category, SimTime, TimeAccount};
 use ftjvm_vm::ExecCounters;
 use ftjvm_workloads::Workload;
+use std::sync::OnceLock;
+
+/// The names of the simulated-time renderings, in the order the `results`
+/// bin prints them; each is committed as `docs/results/<name>.txt`.
+pub const RESULTS: [&str; 10] = [
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "failover",
+    "netfault",
+    "ablations",
+    "density",
+    "reintegrate",
+    "group",
+];
+
+/// Renders the named artifact (one of [`RESULTS`]), or `None` for an
+/// unknown name.
+pub fn render(name: &str) -> Option<String> {
+    let render: fn() -> String = match name {
+        "table2" => render_table2,
+        "fig2" => render_fig2,
+        "fig3" => render_fig3,
+        "fig4" => render_fig4,
+        "failover" => render_failover,
+        "netfault" => render_netfault,
+        "ablations" => render_ablations,
+        "density" => render_density,
+        "reintegrate" => render_reintegrate,
+        "group" => render_group,
+        _ => return None,
+    };
+    Some(render())
+}
 
 /// Everything measured for one benchmark: baseline, both techniques'
 /// primaries, and both techniques' backup replays.
@@ -44,6 +80,9 @@ pub struct BenchRow {
     pub lock_backup: TimeAccount,
     /// Lock-sync primary replication stats.
     pub lock_stats: ReplicationStats,
+    /// Lock-sync frames put on the log channel (fixed codec: one per
+    /// record).
+    pub lock_messages: u64,
     /// TS primary account.
     pub ts_primary: TimeAccount,
     /// TS backup replay account.
@@ -53,12 +92,17 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
+    /// The primary's time account under a mode.
+    pub fn primary(&self, mode: ReplicationMode) -> &TimeAccount {
+        match mode {
+            ReplicationMode::LockSync => &self.lock_primary,
+            ReplicationMode::ThreadSched => &self.ts_primary,
+        }
+    }
+
     /// Normalized primary time for a mode (Figure 2's y-axis).
     pub fn normalized_primary(&self, mode: ReplicationMode) -> f64 {
-        match mode {
-            ReplicationMode::LockSync => self.lock_primary.normalized_to(self.base),
-            ReplicationMode::ThreadSched => self.ts_primary.normalized_to(self.base),
-        }
+        self.primary(mode).normalized_to(self.base)
     }
 
     /// Normalized backup replay time for a mode.
@@ -91,9 +135,7 @@ pub fn measure(w: &Workload) -> BenchRow {
     let harness = FtJvm::new(w.program.clone(), bench_config(ReplicationMode::LockSync));
     let (base_report, _) = harness.run_unreplicated().expect("baseline");
     assert!(base_report.uncaught.is_empty(), "{}: {:?}", w.name, base_report.uncaught);
-    let lock = FtJvm::new(w.program.clone(), bench_config(ReplicationMode::LockSync))
-        .run_backup_replay()
-        .expect("lock-sync pair");
+    let lock = harness.run_backup_replay().expect("lock-sync pair");
     let ts = FtJvm::new(w.program.clone(), bench_config(ReplicationMode::ThreadSched))
         .run_backup_replay()
         .expect("ts pair");
@@ -105,112 +147,32 @@ pub fn measure(w: &Workload) -> BenchRow {
         lock_primary: lock.primary.acct.clone(),
         lock_backup: lock.backup.as_ref().expect("lock backup replayed").acct.clone(),
         lock_stats: lock.primary_stats,
+        lock_messages: lock.channel.messages_sent,
         ts_primary: ts.primary.acct.clone(),
         ts_backup: ts.backup.as_ref().expect("ts backup replayed").acct.clone(),
         ts_stats: ts.primary_stats,
     }
 }
 
-/// Measures the whole SPEC suite.
-pub fn measure_suite() -> Vec<BenchRow> {
-    ftjvm_workloads::spec_suite().iter().map(measure).collect()
+/// The whole SPEC suite, measured on first use and shared by every
+/// rendering that reads it, in [`ftjvm_workloads::spec_suite`] order.
+pub fn suite() -> &'static [BenchRow] {
+    static SUITE: OnceLock<Vec<BenchRow>> = OnceLock::new();
+    SUITE.get_or_init(|| ftjvm_workloads::spec_suite().iter().map(measure).collect())
 }
 
-/// One failover measurement: latency of a mid-run crash under a cold
-/// (store-only) backup versus a hot (streaming) standby.
-#[derive(Debug)]
-pub struct FailoverSample {
-    /// Time from the crash to the detector firing.
-    pub detection: SimTime,
-    /// Replay left to do at promotion: the full log for cold, the
-    /// unconsumed suffix for hot.
-    pub replay: SimTime,
-    /// End-to-end failover latency (detection + replay).
-    pub total: SimTime,
-}
-
-/// Cold-vs-hot failover latencies of one workload at one crash point.
-#[derive(Debug)]
-pub struct FailoverRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Crash point used for both runs.
-    pub fault: FaultPlan,
-    /// Cold (replay-at-failover) measurement.
-    pub cold: FailoverSample,
-    /// Hot (streaming standby) measurement.
-    pub hot: FailoverSample,
-}
-
-/// The per-workload mid-run crash points used by the failover table
-/// (roughly the middle of each benchmark's execution).
-pub fn failover_fault(name: &str) -> FaultPlan {
-    match name {
-        "compress" => FaultPlan::AfterInstructions(2_000_000),
-        "jess" => FaultPlan::AfterInstructions(300_000),
-        "db" => FaultPlan::AfterInstructions(800_000),
-        "mpegaudio" => FaultPlan::AfterInstructions(1_000_000),
-        "mtrt" => FaultPlan::AfterInstructions(500_000),
-        "jack" => FaultPlan::AfterInstructions(400_000),
-        _ => FaultPlan::AfterInstructions(100_000),
-    }
-}
-
-/// Measures one workload's failover latency under both lag budgets.
-///
-/// # Panics
-/// Panics if any run fails — benchmarks run known-good workloads.
-pub fn measure_failover(w: &Workload, fault: FaultPlan) -> FailoverRow {
-    let sample = |lag_budget| {
-        let mut cfg = bench_config(ReplicationMode::LockSync);
-        cfg.fault = fault;
-        cfg.lag_budget = lag_budget;
-        let r = FtJvm::new(w.program.clone(), cfg).run_with_failure().expect("fails over");
-        assert!(r.crashed, "{}: fault did not fire", w.name);
-        FailoverSample {
-            detection: r.detection_latency,
-            replay: r.recovery_replay_time,
-            total: r.failover_latency,
-        }
-    };
-    FailoverRow { name: w.name, fault, cold: sample(LagBudget::Cold), hot: sample(LagBudget::Hot) }
-}
-
-/// Measures the failover table over the whole SPEC suite.
-pub fn measure_failover_suite() -> Vec<FailoverRow> {
-    ftjvm_workloads::spec_suite()
-        .iter()
-        .map(|w| measure_failover(w, failover_fault(w.name)))
-        .collect()
-}
-
-/// Renders one stacked-bar breakdown row (Figures 3 and 4): per-category
-/// share normalized to the baseline.
-pub fn breakdown(
-    acct: &TimeAccount,
-    base: SimTime,
-    bookkeeping: Category,
-) -> [(&'static str, f64); 5] {
-    let norm = |t: SimTime| {
+/// One stacked-bar breakdown row (Figures 3 and 4): the time in the
+/// original, communication, `bookkeeping`, misc and pessimistic
+/// categories, each normalized to the baseline.
+pub fn breakdown(acct: &TimeAccount, base: SimTime, bookkeeping: Category) -> [f64; 5] {
+    use Category::{Base, Communication, Misc, Pessimistic};
+    [Base, Communication, bookkeeping, Misc, Pessimistic].map(|c| {
         if base == SimTime::ZERO {
             0.0
         } else {
-            t.as_nanos() as f64 / base.as_nanos() as f64
+            acct.get(c).as_nanos() as f64 / base.as_nanos() as f64
         }
-    };
-    [
-        ("original", norm(acct.get(Category::Base))),
-        ("communication", norm(acct.get(Category::Communication))),
-        (
-            match bookkeeping {
-                Category::LockAcquire => "lock-acquire",
-                _ => "rescheduling",
-            },
-            norm(acct.get(bookkeeping)),
-        ),
-        ("misc", norm(acct.get(Category::Misc))),
-        ("pessimistic", norm(acct.get(Category::Pessimistic))),
-    ]
+    })
 }
 
 /// Draws a unicode bar of `value` scaled so that 1.0 = `unit_width` cells.
@@ -241,7 +203,7 @@ mod tests {
         let w = ftjvm_workloads::micro::file_journal(5);
         let row = measure(&w);
         let parts = breakdown(&row.lock_primary, row.base, Category::LockAcquire);
-        let sum: f64 = parts.iter().map(|(_, v)| v).sum();
+        let sum: f64 = parts.iter().sum();
         let total = row.normalized_primary(ReplicationMode::LockSync);
         assert!((sum - total).abs() < 1e-6, "sum {sum} vs total {total}");
     }
