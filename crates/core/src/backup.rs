@@ -22,7 +22,7 @@
 //! of the log (§3.4, §4.1).
 
 use crate::codec::{
-    frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk, open_frame,
+    continues_flush, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk, open_frame,
     parse_epoch_frame, RecordDecoder, SnapshotAssembler,
 };
 use crate::ftjvm::Technique;
@@ -117,6 +117,13 @@ pub enum ReplayError {
         /// Replay records still unconsumed at the promotion attempt.
         pending: u64,
     },
+    /// A side-effect handler's latest state message does not parse, so
+    /// the volatile state it describes (open files, sockets) cannot be
+    /// recovered; the handler restored nothing.
+    MalformedSeState {
+        /// The handler's registered name.
+        handler: &'static str,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -130,6 +137,9 @@ impl std::fmt::Display for ReplayError {
             }
             ReplayError::PromotionIncomplete { pending } => {
                 write!(f, "promotion attempted with {pending} replay records unconsumed")
+            }
+            ReplayError::MalformedSeState { handler } => {
+                write!(f, "side-effect handler `{handler}` received a malformed state message")
             }
         }
     }
@@ -503,7 +513,9 @@ impl NativeReplay {
         self.eof = true;
         let from_log = if self.log.has_outputs { self.log.max_output_id + 1 } else { 0 };
         self.next_live_output = from_log.max(self.live_output_base);
-        self.se.restore(env);
+        if let Err(e) = self.se.restore(env) {
+            self.fail_replay(ThreadIdx(0), e);
+        }
     }
 
     /// May this native invocation proceed right now? Always true at eof.
@@ -1701,15 +1713,22 @@ pub enum Control {
 /// (sequence number below the cumulative frontier or already buffered),
 /// buffers out-of-order frames, and releases payloads strictly in
 /// sequence order — the contract the record decoder's delta context and
-/// the log's prefix semantics both depend on.
+/// the log's prefix semantics both depend on. The consumer takes them a
+/// whole flush at a time: frames sealed as continuing a flush
+/// ([`crate::codec::SEAL_MORE_TAG`]) wait until the frame that ends it is
+/// in order too, so a verified prefix always ends on a flush boundary.
 #[derive(Debug, Default)]
 pub struct RecvWindow {
     /// Next sequence number to release (the cumulative frontier).
     expected: u64,
-    /// Verified frames that arrived ahead of a gap, by sequence number.
-    buffered: std::collections::BTreeMap<u64, (SimTime, Bytes)>,
+    /// Verified frames that arrived ahead of a gap, by sequence number,
+    /// with whether more frames of their flush follow.
+    buffered: std::collections::BTreeMap<u64, (SimTime, Bytes, bool)>,
     /// Verified, in-order payloads not yet taken by the consumer.
     ready: Vec<(SimTime, Bytes)>,
+    /// How many of `ready` end on a flush boundary; the rest are the
+    /// head of a flush whose end has not been released yet.
+    complete: usize,
     /// Release instants are monotone even when a late gap-filler unblocks
     /// frames that physically arrived earlier.
     last_release: SimTime,
@@ -1753,16 +1772,18 @@ impl RecvWindow {
                 self.push_nack(self.expected, ctrl);
             }
             Ok((seq, payload)) => {
+                let more = continues_flush(&raw);
                 if seq < self.expected || self.buffered.contains_key(&seq) {
                     self.dup_deliveries += 1;
                     // Re-ack: the sender may be retransmitting because an
                     // earlier ACK was processed late.
                     ctrl.push(Control::Ack { next: self.expected });
                 } else if seq == self.expected {
-                    self.release(at, payload);
+                    self.release(at, payload, more);
                     // The gap-filler may unblock a buffered run.
-                    while let Some(entry) = self.buffered.remove(&self.expected) {
-                        self.release(at.max(entry.0), entry.1);
+                    while let Some((arrived, payload, more)) = self.buffered.remove(&self.expected)
+                    {
+                        self.release(at.max(arrived), payload, more);
                     }
                     if self.last_nacked.map(|n| n < self.expected).unwrap_or(true) {
                         self.last_nacked = None;
@@ -1770,17 +1791,20 @@ impl RecvWindow {
                     ctrl.push(Control::Ack { next: self.expected });
                 } else {
                     self.reordered += 1;
-                    self.buffered.insert(seq, (at, payload));
+                    self.buffered.insert(seq, (at, payload, more));
                     self.push_nack(self.expected, ctrl);
                 }
             }
         }
     }
 
-    fn release(&mut self, at: SimTime, payload: Bytes) {
+    fn release(&mut self, at: SimTime, payload: Bytes, more: bool) {
         self.last_release = self.last_release.max(at);
         self.ready.push((self.last_release, payload));
         self.expected += 1;
+        if !more {
+            self.complete = self.ready.len();
+        }
     }
 
     fn push_nack(&mut self, seq: u64, ctrl: &mut Vec<Control>) {
@@ -1791,19 +1815,30 @@ impl RecvWindow {
         }
     }
 
-    /// Takes the verified, in-order payloads released so far.
+    /// Takes the verified, in-order payloads released so far, up to the
+    /// last complete flush; the head of a flush still missing its end
+    /// stays for a later call.
     pub fn take_ready(&mut self) -> Vec<(SimTime, Bytes)> {
-        std::mem::take(&mut self.ready)
+        let complete = std::mem::take(&mut self.complete);
+        if complete == self.ready.len() {
+            return std::mem::take(&mut self.ready);
+        }
+        let partial = self.ready.split_off(complete);
+        std::mem::replace(&mut self.ready, partial)
     }
 
-    /// Takeover: returns the longest verified frame prefix and discards
-    /// any frames buffered beyond an unresolved gap, reporting how many
-    /// were thrown away. The discarded suffix is equivalent to records the
-    /// crashed primary never flushed: the promoted backup re-executes that
-    /// suffix live and resolves uncertain outputs via SE-handler `test`.
+    /// Takeover: returns the longest verified frame prefix that ends on a
+    /// flush boundary and discards the rest — frames buffered beyond an
+    /// unresolved gap and the head of a flush whose end never arrived —
+    /// reporting how many were thrown away. The discarded suffix is
+    /// equivalent to records the crashed primary never flushed: the
+    /// promoted backup re-executes that suffix live and resolves uncertain
+    /// outputs via SE-handler `test`.
     pub fn take_prefix(&mut self) -> (Vec<(SimTime, Bytes)>, usize) {
-        let discarded = self.buffered.len();
+        let discarded = self.buffered.len() + (self.ready.len() - self.complete);
         self.buffered.clear();
+        self.ready.truncate(self.complete);
+        self.complete = 0;
         (std::mem::take(&mut self.ready), discarded)
     }
 }
@@ -2122,6 +2157,28 @@ mod tests {
     }
 
     #[test]
+    fn recv_window_releases_whole_flushes_only() {
+        use crate::codec::seal;
+        let mut w = RecvWindow::new();
+        let mut ctrl = Vec::new();
+        // A three-frame flush (result, snapshot, commit) whose end is late.
+        w.offer(SimTime::ZERO, seal(0, b"result", true), &mut ctrl);
+        w.offer(SimTime::ZERO, seal(1, b"snapshot", true), &mut ctrl);
+        assert!(w.take_ready().is_empty(), "the head of a flush waits for its end");
+        assert_eq!(w.expected(), 2, "the head is acknowledged all the same");
+        w.offer(SimTime::ZERO, seal(2, b"commit", false), &mut ctrl);
+        w.offer(SimTime::ZERO, seal(3, b"next-head", true), &mut ctrl);
+        let got = w.take_ready();
+        let bodies: Vec<&[u8]> = got.iter().map(|(_, b)| b.as_ref()).collect();
+        assert_eq!(bodies, vec![b"result".as_ref(), b"snapshot".as_ref(), b"commit".as_ref()]);
+        // At takeover the unfinished flush is discarded with the gap.
+        w.offer(SimTime::ZERO, seal(5, b"beyond-gap", false), &mut ctrl);
+        let (prefix, discarded) = w.take_prefix();
+        assert!(prefix.is_empty());
+        assert_eq!(discarded, 2, "the head of flush 3 and the frame beyond the gap");
+    }
+
+    #[test]
     fn recv_window_interops_with_send_window() {
         // Sender seals via its tracking window; receiver opens and acks;
         // the ack empties the sender's retransmission buffer.
@@ -2129,7 +2186,7 @@ mod tests {
         let mut rx = RecvWindow::new();
         let mut ctrl = Vec::new();
         for body in [b"x".as_ref(), b"y".as_ref()] {
-            let frame = tx.track(SimTime::ZERO, body);
+            let frame = tx.track(SimTime::ZERO, body, false);
             rx.offer(SimTime::from_micros(1), frame, &mut ctrl);
         }
         assert_eq!(tx.outstanding(), 2);

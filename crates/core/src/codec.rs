@@ -832,16 +832,27 @@ pub fn flush_digest(frame_digests: &[u32]) -> u32 {
 // context assumes a verified in-order prefix) ever sees the payload.
 // ---------------------------------------------------------------------------
 
-/// First byte of a sealed frame. Disjoint from fixed record tags (`1..=8`)
-/// and [`BATCH_TAG`], so sealed and bare frames are distinguishable.
+/// First byte of a sealed frame that ends a flush — and of every sealed
+/// frame that is not part of a multi-frame flush. Disjoint from fixed
+/// record tags (`1..=8`) and [`BATCH_TAG`], so sealed and bare frames are
+/// distinguishable.
 pub const SEAL_TAG: u8 = 0xF7;
+
+/// First byte of a sealed frame that more frames of the same flush follow
+/// (every frame of a fixed-codec flush but its last). A receiver releases
+/// frames only up to the last one sealed with [`SEAL_TAG`], so a flush —
+/// a native's result and its side-effect snapshot, say — is never split.
+/// The checksum covers the choice of tag: such a frame stores the
+/// complement of its tail's CRC32C, so flipping one tag into the other
+/// fails [`open_frame`] rather than moving a flush boundary.
+pub const SEAL_MORE_TAG: u8 = 0xF8;
 
 /// Why a sealed frame failed to open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// The frame is shorter than the minimal header.
     Truncated,
-    /// The first byte is not [`SEAL_TAG`].
+    /// The first byte is neither [`SEAL_TAG`] nor [`SEAL_MORE_TAG`].
     BadTag(u8),
     /// The CRC32C over the sequence number and payload does not match the
     /// stored checksum — the frame was corrupted in flight.
@@ -881,14 +892,37 @@ pub use ftjvm_netsim::wire::crc32c;
 /// The frame is written once, in one buffer: the tag, a zero checksum,
 /// the tail, and then the checksum over the tail in its slot.
 pub fn seal_frame(seq: u64, payload: &[u8]) -> Bytes {
+    seal(seq, payload, false)
+}
+
+/// Seals one frame of a flush: with `more`, a frame that more frames of
+/// the same flush follow ([`SEAL_MORE_TAG`]); without, [`seal_frame`].
+pub fn seal(seq: u64, payload: &[u8], more: bool) -> Bytes {
     let mut w = WireWriter::with_capacity(5 + 10 + payload.len());
-    w.put_u8(SEAL_TAG);
+    w.put_u8(if more { SEAL_MORE_TAG } else { SEAL_TAG });
     w.put_u32(0);
     w.put_uvarint(seq);
     w.put_raw(payload);
-    let crc = crc32c(&w.as_bytes()[5..]);
+    let crc = seal_crc(&w.as_bytes()[5..], more);
     w.patch_u32(1, crc);
     w.finish()
+}
+
+/// The stored checksum of a sealed frame's tail: its CRC32C, complemented
+/// when the frame continues a flush.
+fn seal_crc(tail: &[u8], more: bool) -> u32 {
+    let crc = crc32c(tail);
+    if more {
+        !crc
+    } else {
+        crc
+    }
+}
+
+/// True if `raw` is sealed as a frame that more frames of its flush
+/// follow. Only meaningful for a frame that [`open_frame`] accepted.
+pub fn continues_flush(raw: &[u8]) -> bool {
+    raw.first() == Some(&SEAL_MORE_TAG)
 }
 
 /// Opens a sealed frame, returning `(sequence number, payload)`.
@@ -901,12 +935,14 @@ pub fn open_frame(raw: &Bytes) -> Result<(u64, Bytes), FrameError> {
     if raw.len() < 6 {
         return Err(FrameError::Truncated);
     }
-    if raw[0] != SEAL_TAG {
-        return Err(FrameError::BadTag(raw[0]));
-    }
+    let more = match raw[0] {
+        SEAL_TAG => false,
+        SEAL_MORE_TAG => true,
+        tag => return Err(FrameError::BadTag(tag)),
+    };
     let stored = u32::from_le_bytes([raw[1], raw[2], raw[3], raw[4]]);
     let tail = raw.slice(5..);
-    let computed = crc32c(&tail);
+    let computed = seal_crc(&tail, more);
     if stored != computed {
         return Err(FrameError::Crc { stored, computed });
     }
@@ -1317,6 +1353,30 @@ mod tests {
                 v[i] ^= 1 << bit;
                 let got = open_frame(&Bytes::from(v));
                 assert!(got.is_err(), "flip byte {i} bit {bit} must not verify");
+            }
+        }
+    }
+
+    #[test]
+    fn continued_frames_open_and_their_tag_is_checksummed() {
+        let payload = b"a native result";
+        let more = seal(9, payload, true);
+        assert_eq!(more[0], SEAL_MORE_TAG);
+        assert!(continues_flush(&more) && !continues_flush(&seal(9, payload, false)));
+        assert_eq!(open_frame(&more), Ok((9, Bytes::from_static(payload))));
+        assert_eq!(seal(9, payload, false), seal_frame(9, payload));
+        // Swapping one tag for the other, alone, never opens: the stored
+        // checksum says which of the two the sender wrote.
+        for (sealed, other) in [(more.clone(), SEAL_TAG), (seal_frame(9, payload), SEAL_MORE_TAG)] {
+            let mut v = sealed.to_vec();
+            v[0] = other;
+            assert!(matches!(open_frame(&Bytes::from(v)), Err(FrameError::Crc { .. })));
+        }
+        for i in 0..more.len() {
+            for bit in 0..8u8 {
+                let mut v = more.to_vec();
+                v[i] ^= 1 << bit;
+                assert!(open_frame(&Bytes::from(v)).is_err(), "flip byte {i} bit {bit}");
             }
         }
     }

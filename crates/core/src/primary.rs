@@ -18,7 +18,7 @@
 
 use crate::backup::{Control, RecvWindow};
 use crate::codec::{
-    build_batch_frame, build_epoch_frame, build_vote_frame, flush_digest, frame_digest, seal_frame,
+    build_batch_frame, build_epoch_frame, build_vote_frame, flush_digest, frame_digest, seal,
     RecordEncoder,
 };
 use crate::ftjvm::Technique;
@@ -89,10 +89,11 @@ impl SendWindow {
         }
     }
 
-    /// Seals `payload` with the next sequence number and starts tracking
+    /// Seals `payload` with the next sequence number — as a frame that
+    /// more frames of its flush follow when `more` — and starts tracking
     /// it; returns the sealed frame to put on the wire.
-    pub(crate) fn track(&mut self, now: SimTime, payload: &[u8]) -> Bytes {
-        let sealed = seal_frame(self.next_seq, payload);
+    pub(crate) fn track(&mut self, now: SimTime, payload: &[u8], more: bool) -> Bytes {
+        let sealed = seal(self.next_seq, payload, more);
         self.next_seq += 1;
         self.window.push_back(Unacked {
             sealed: sealed.clone(),
@@ -213,7 +214,13 @@ impl ReliableLink {
 
     /// Seals, tracks, and transmits one frame; returns the sender CPU cost.
     pub fn send(&mut self, now: SimTime, payload: Bytes) -> SimTime {
-        let sealed = self.window.track(now, &payload);
+        self.send_part(now, payload, false)
+    }
+
+    /// [`ReliableLink::send`] for one frame of a flush: with `more`, more
+    /// frames of the same flush follow it.
+    fn send_part(&mut self, now: SimTime, payload: Bytes, more: bool) -> SimTime {
+        let sealed = self.window.track(now, &payload, more);
         self.link.send(now, sealed)
     }
 
@@ -344,9 +351,16 @@ pub enum LogChannel {
 impl LogChannel {
     /// Sends one log frame, returning the sender-side CPU cost.
     pub fn send(&mut self, now: SimTime, payload: Bytes) -> SimTime {
+        self.send_part(now, payload, false)
+    }
+
+    /// Sends one frame of a flush; `more` says more frames of the same
+    /// flush follow it. Only a sealed frame carries that: the perfect
+    /// channel never delivers part of a flush.
+    fn send_part(&mut self, now: SimTime, payload: Bytes, more: bool) -> SimTime {
         match self {
             LogChannel::Perfect(ch) => ch.send(now, payload),
-            LogChannel::Reliable(link) => link.send(now, payload),
+            LogChannel::Reliable(link) => link.send_part(now, payload, more),
         }
     }
 
@@ -689,7 +703,7 @@ impl PrimaryCore {
     /// flush's claim set — the vote covering the whole flush follows in
     /// [`Self::flush`]. The claims cover the *honest* payloads — flips
     /// happen after digest computation, so only voting can expose them.
-    fn send_record_frame(&mut self, frame: Bytes, acct: &mut TimeAccount) {
+    fn send_record_frame(&mut self, frame: Bytes, more: bool, acct: &mut TimeAccount) {
         let fi = self.record_frame_index;
         self.record_frame_index += 1;
         if self.vote_quorum.is_some() {
@@ -709,7 +723,7 @@ impl PrimaryCore {
                 }
                 None => frame.clone(),
             };
-            let cost = link.chan.send(now, payload);
+            let cost = link.chan.send_part(now, payload, more);
             acct.charge(Category::Communication, cost);
         }
     }
@@ -823,7 +837,9 @@ impl PrimaryCore {
 
     /// Sends every buffered record to the backup, charging the sender-side
     /// cost to the communication category. Fixed codec: one message per
-    /// record. Compact codec: one batch frame for the whole buffer.
+    /// record, each but the last sealed as continuing the flush, so a
+    /// receiver never releases part of it. Compact codec: one batch frame
+    /// for the whole buffer.
     pub fn flush(&mut self, acct: &mut TimeAccount) {
         if self.buffer.is_empty() {
             return;
@@ -834,11 +850,12 @@ impl PrimaryCore {
                 // Taken for the loop and put back empty, so the next flush
                 // reuses its allocation.
                 let mut buffer = std::mem::take(&mut self.buffer);
-                for frame in buffer.drain(..) {
+                let last = buffer.len() - 1;
+                for (i, frame) in buffer.drain(..).enumerate() {
                     if retain {
                         self.retain_frame(frame.len());
                     }
-                    self.send_record_frame(frame, acct);
+                    self.send_record_frame(frame, i < last, acct);
                 }
                 self.buffer = buffer;
             }
@@ -851,7 +868,7 @@ impl PrimaryCore {
                 if retain {
                     self.retain_frame(frame.len());
                 }
-                self.send_record_frame(frame, acct);
+                self.send_record_frame(frame, false, acct);
             }
         }
         if self.vote_quorum.is_some() {
@@ -1565,6 +1582,7 @@ impl Coordinator for Primary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::seal_frame;
     use ftjvm_netsim::NetParams;
 
     fn core_with(fault: FaultPlan) -> PrimaryCore {
@@ -1820,7 +1838,7 @@ mod tests {
                         let payload: Vec<u8> = (0..arg).map(|b| (b as usize + i) as u8).collect();
                         let want = vec![seal_frame(model.next_seq, &payload)];
                         model.track(now, &payload);
-                        (vec![win.track(now, &payload)], want)
+                        (vec![win.track(now, &payload, false)], want)
                     }
                     WinOp::Ack => {
                         win.on_control(at, Control::Ack { next: seq }, &mut resend);

@@ -439,7 +439,7 @@ impl FtJvm {
         let mut benv = self.backup_env(world, 0);
         // SE-handler `restore`: re-create the primary's volatile
         // environment state (open files at their recovered offsets).
-        se.restore(&mut benv);
+        se.restore(&mut benv).map_err(|e| e.at(ThreadIdx(0)))?;
         let vm = Vm::new(
             self.program.clone(),
             self.natives.clone(),

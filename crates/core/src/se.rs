@@ -19,8 +19,9 @@
 //!   re-create the primary's lost volatile state (e.g. reopen files and
 //!   seek to the recovered offsets).
 
+use crate::backup::ReplayError;
 use bytes::Bytes;
-use ftjvm_netsim::{WireReader, WireWriter};
+use ftjvm_netsim::{WireError, WireReader, WireWriter};
 use ftjvm_vm::native::NativeOutcome;
 use ftjvm_vm::{SimEnv, Value, World};
 use std::collections::BTreeMap;
@@ -69,8 +70,12 @@ pub trait SideEffectHandler {
 
     /// Backup-side: installs the recovered volatile state into this
     /// replica's environment. Invoked exactly once.
-    fn restore(&mut self, env: &mut SimEnv) {
+    ///
+    /// # Errors
+    /// A malformed state message, in which case `env` is left untouched.
+    fn restore(&mut self, env: &mut SimEnv) -> Result<(), WireError> {
         let _ = env;
+        Ok(())
     }
 }
 
@@ -157,11 +162,48 @@ impl SeRegistry {
     }
 
     /// Backup-side restore: every handler installs its recovered state.
-    pub fn restore(&mut self, env: &mut SimEnv) {
+    ///
+    /// # Errors
+    /// [`ReplayError::MalformedSeState`] naming the first handler whose
+    /// state message does not parse; that handler changed nothing.
+    pub fn restore(&mut self, env: &mut SimEnv) -> Result<(), ReplayError> {
         for h in &mut self.handlers {
-            h.restore(env);
+            h.restore(env)
+                .map_err(|_| ReplayError::MalformedSeState { handler: h.register().name })?;
         }
+        Ok(())
     }
+}
+
+/// One open file or socket in a handler's state message: descriptor,
+/// name, and a count (a file offset or a connection's sends).
+type Row = (u64, String, u64);
+
+/// The shape both stateful built-in handlers ship: the next descriptor,
+/// then one [`Row`] per open file or socket.
+fn encode_table(next: u64, rows: impl ExactSizeIterator<Item = Row>) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_u64(next);
+    w.put_u32(rows.len() as u32);
+    for (id, name, count) in rows {
+        w.put_u64(id);
+        w.put_str(&name);
+        w.put_u64(count);
+    }
+    w.finish()
+}
+
+/// Parses a whole [`encode_table`] payload before anything is applied, so
+/// a malformed one restores nothing.
+fn decode_table(payload: Bytes) -> Result<(u64, Vec<Row>), WireError> {
+    let mut r = WireReader::new(payload);
+    let next = r.get_u64()?;
+    let n = r.get_u32()?;
+    let mut rows = Vec::new();
+    for _ in 0..n {
+        rows.push((r.get_u64()?, r.get_str()?, r.get_u64()?));
+    }
+    Ok((next, rows))
 }
 
 /// Built-in handler for the `file.*` natives.
@@ -179,17 +221,9 @@ pub struct FileIoHandler {
 
 impl FileIoHandler {
     fn snapshot(env: &SimEnv) -> Bytes {
-        let mut w = WireWriter::new();
-        let files: Vec<(u64, String, u64)> =
+        let files: Vec<_> =
             env.open_files().map(|(vfd, f)| (vfd, f.name.clone(), f.offset as u64)).collect();
-        w.put_u64(env.peek_next_vfd());
-        w.put_u32(files.len() as u32);
-        for (vfd, name, offset) in files {
-            w.put_u64(vfd);
-            w.put_str(&name);
-            w.put_u64(offset);
-        }
-        w.finish()
+        encode_table(env.peek_next_vfd(), files.into_iter())
     }
 }
 
@@ -224,18 +258,14 @@ impl SideEffectHandler for FileIoHandler {
         self.latest = Some(payload);
     }
 
-    fn restore(&mut self, env: &mut SimEnv) {
-        let Some(payload) = self.latest.take() else { return };
-        let mut r = WireReader::new(payload);
-        let Ok(next_vfd) = r.get_u64() else { return };
-        let Ok(n) = r.get_u32() else { return };
-        for _ in 0..n {
-            let (Ok(vfd), Ok(name), Ok(offset)) = (r.get_u64(), r.get_str(), r.get_u64()) else {
-                return;
-            };
+    fn restore(&mut self, env: &mut SimEnv) -> Result<(), WireError> {
+        let Some(payload) = self.latest.take() else { return Ok(()) };
+        let (next_vfd, files) = decode_table(payload)?;
+        for (vfd, name, offset) in files {
             env.restore_open_file(vfd, &name, offset as usize);
         }
         env.set_next_vfd(next_vfd);
+        Ok(())
     }
 }
 
@@ -254,17 +284,9 @@ pub struct SocketHandler {
 
 impl SocketHandler {
     fn snapshot(env: &SimEnv) -> Bytes {
-        let mut w = WireWriter::new();
-        let socks: Vec<(u64, String, u64)> =
+        let socks: Vec<_> =
             env.open_sockets().map(|(sd, c)| (sd, c.peer.clone(), c.sent)).collect();
-        w.put_u64(env.peek_next_sd());
-        w.put_u32(socks.len() as u32);
-        for (sd, peer, sent) in socks {
-            w.put_u64(sd);
-            w.put_str(&peer);
-            w.put_u64(sent);
-        }
-        w.finish()
+        encode_table(env.peek_next_sd(), socks.into_iter())
     }
 }
 
@@ -288,18 +310,14 @@ impl SideEffectHandler for SocketHandler {
         self.latest = Some(payload);
     }
 
-    fn restore(&mut self, env: &mut SimEnv) {
-        let Some(payload) = self.latest.take() else { return };
-        let mut r = WireReader::new(payload);
-        let Ok(next_sd) = r.get_u64() else { return };
-        let Ok(n) = r.get_u32() else { return };
-        for _ in 0..n {
-            let (Ok(sd), Ok(peer), Ok(sent)) = (r.get_u64(), r.get_str(), r.get_u64()) else {
-                return;
-            };
+    fn restore(&mut self, env: &mut SimEnv) -> Result<(), WireError> {
+        let Some(payload) = self.latest.take() else { return Ok(()) };
+        let (next_sd, socks) = decode_table(payload)?;
+        for (sd, peer, sent) in socks {
             env.restore_socket(sd, &peer, sent);
         }
         env.set_next_sd(next_sd);
+        Ok(())
     }
 }
 
@@ -321,6 +339,7 @@ impl SideEffectHandler for ConsoleHandler {
 mod tests {
     use super::*;
     use ftjvm_netsim::SimTime;
+    use ftjvm_vm::env::{OpenFile, SocketConn};
 
     #[test]
     fn registry_routes_by_native() {
@@ -352,12 +371,69 @@ mod tests {
         h.receive(snap);
 
         let mut benv = SimEnv::new("b", world, SimTime::ZERO, 2);
-        h.restore(&mut benv);
+        h.restore(&mut benv).expect("a well-formed snapshot");
         assert_eq!(benv.offset(fd1), Some(5));
         assert_eq!(benv.offset(fd2), Some(3));
         // Fresh descriptors do not collide with anything the primary used.
         let fd3 = benv.open("c.txt", None);
         assert!(fd3 > fd2);
+    }
+
+    /// Everything `restore` may touch: the fd and socket tables and both
+    /// next-descriptor counters.
+    fn volatile(env: &SimEnv) -> String {
+        let files: Vec<(u64, &OpenFile)> = env.open_files().collect();
+        let socks: Vec<(u64, &SocketConn)> = env.open_sockets().collect();
+        format!("{files:?} {} {socks:?} {}", env.peek_next_vfd(), env.peek_next_sd())
+    }
+
+    #[test]
+    fn malformed_state_messages_restore_nothing() {
+        let world = World::shared();
+        let mut penv = SimEnv::new("p", world.clone(), SimTime::ZERO, 1);
+        let fd1 = penv.open("a.txt", None);
+        let fd2 = penv.open("b.txt", None);
+        penv.write(fd1, b"hello", 1).unwrap();
+        penv.seek(fd2, 3).unwrap();
+        penv.sock_connect("peer-a", None);
+        penv.sock_connect("peer-b", None);
+        let handler = |name| -> Box<dyn SideEffectHandler> {
+            match name {
+                "file-io" => Box::<FileIoHandler>::default(),
+                _ => Box::<SocketHandler>::default(),
+            }
+        };
+        let messages = [
+            ("file-io", FileIoHandler::snapshot(&penv)),
+            ("socket", SocketHandler::snapshot(&penv)),
+        ];
+        for (name, full) in messages {
+            for cut in 0..full.len() {
+                let mut h = handler(name);
+                h.receive(full.slice(..cut));
+                let mut benv = SimEnv::new("b", world.clone(), SimTime::ZERO, 2);
+                benv.open("backup-only.txt", None);
+                let before = volatile(&benv);
+                assert!(h.restore(&mut benv).is_err(), "{name}: {cut}-byte prefix restored");
+                assert_eq!(volatile(&benv), before, "{name}: {cut}-byte prefix half-applied");
+            }
+            let mut h = handler(name);
+            h.receive(full);
+            let mut benv = SimEnv::new("b", world.clone(), SimTime::ZERO, 2);
+            h.restore(&mut benv).expect("the whole message restores");
+        }
+        // Both whole messages together rebuild the primary's tables.
+        let mut r = SeRegistry::with_builtins();
+        r.receive(0, FileIoHandler::snapshot(&penv));
+        r.receive(2, SocketHandler::snapshot(&penv));
+        let mut benv = SimEnv::new("b", world.clone(), SimTime::ZERO, 2);
+        r.restore(&mut benv).expect("well-formed messages");
+        assert_eq!(volatile(&benv), volatile(&penv), "fd and socket tables round-trip");
+        // Through the registry, a malformed message is a typed replay error.
+        let mut r = SeRegistry::with_builtins();
+        r.receive(2, Bytes::from_static(b"short"));
+        let mut benv = SimEnv::new("b", world, SimTime::ZERO, 2);
+        assert_eq!(r.restore(&mut benv), Err(ReplayError::MalformedSeState { handler: "socket" }));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Corrupt-frame decoder fuzzer (CI smoke): hammer the reliability
 //! sublayer's `open_frame` and the record decoders with mutated and
 //! random frames. Every input must come back as a clean `Ok`/`Err` —
-//! a panic anywhere aborts the process nonzero and fails the build.
+//! a panic anywhere aborts the process nonzero and fails the build. A
+//! sealed frame whose only change is a swap between the flush-ending and
+//! flush-continuing seal tags must never open: that would move a flush
+//! boundary.
 //!
 //! ```text
 //! cargo run --release --bin ftjvm-fuzz-frames -- [iterations] [seed]
@@ -12,7 +15,7 @@
 
 use ftjvm::replication::codec::{
     build_batch_frame, build_vote_frame, flush_digest, frame_digest, open_frame, parse_vote_frame,
-    seal_frame, RecordDecoder, RecordEncoder,
+    seal, RecordDecoder, RecordEncoder, SEAL_MORE_TAG, SEAL_TAG,
 };
 use ftjvm::replication::records::{LoggedResult, Record, WireValue};
 use ftjvm::vm::vtid::VtPath;
@@ -34,7 +37,8 @@ impl Rng {
 }
 
 /// A small corpus of well-formed frames: fixed-encoded records, a
-/// compact batch frame, and sealed wrappings of both.
+/// compact batch frame, and sealed wrappings of both, each sealed once as
+/// ending a flush and once as continuing one.
 fn corpus() -> Vec<Vec<u8>> {
     let records = vec![
         Record::IdMap { l_id: 7, t: VtPath::root(), t_asn: 1 },
@@ -73,18 +77,23 @@ fn corpus() -> Vec<Vec<u8>> {
         claims.iter().enumerate().map(|(i, &d)| build_vote_frame(i as u64, d).to_vec()).collect();
     votes.push(build_vote_frame(u64::MAX, flush_digest(&claims)).to_vec());
     frames.extend(votes);
-    let sealed: Vec<Vec<u8>> =
-        frames.iter().enumerate().map(|(i, f)| seal_frame(i as u64, f).to_vec()).collect();
+    let sealed: Vec<Vec<u8>> = [false, true]
+        .into_iter()
+        .flat_map(|more| frames.iter().enumerate().map(move |(i, f)| seal(i as u64, f, more)))
+        .map(|f| f.to_vec())
+        .collect();
     frames.extend(sealed);
     frames
 }
 
 /// One mutation: bit flips, truncation, extension, splice, pure noise,
-/// or a forged vote (a valid vote header over mutated index/digest
-/// payload bytes — the shape a byzantine sender would emit).
-fn mutate(rng: &mut Rng, base: &[u8]) -> Vec<u8> {
+/// a forged vote (a valid vote header over mutated index/digest payload
+/// bytes — the shape a byzantine sender would emit), or a seal-tag swap
+/// (returned with `true`: the flush-ending and flush-continuing tags
+/// traded, nothing else changed).
+fn mutate(rng: &mut Rng, base: &[u8]) -> (Vec<u8>, bool) {
     let mut v = base.to_vec();
-    match rng.next() % 6 {
+    match rng.next() % 7 {
         0 => {
             for _ in 0..=rng.below(4) {
                 if v.is_empty() {
@@ -113,6 +122,15 @@ fn mutate(rng: &mut Rng, base: &[u8]) -> Vec<u8> {
                 v.push(rng.next() as u8);
             }
         }
+        5 => match v.first_mut() {
+            Some(tag) if *tag == SEAL_TAG || *tag == SEAL_MORE_TAG => {
+                *tag = if *tag == SEAL_TAG { SEAL_MORE_TAG } else { SEAL_TAG };
+                return (v, true);
+            }
+            // Not a sealed frame: plant a seal tag over whatever is there.
+            Some(tag) => *tag = [SEAL_TAG, SEAL_MORE_TAG][rng.below(2)],
+            None => v.push(SEAL_MORE_TAG),
+        },
         _ => {
             // Forged vote: keep (or plant) the vote tag, then garble the
             // varint frame index and digest bytes after it.
@@ -132,7 +150,7 @@ fn mutate(rng: &mut Rng, base: &[u8]) -> Vec<u8> {
             }
         }
     }
-    v
+    (v, false)
 }
 
 fn main() {
@@ -142,16 +160,20 @@ fn main() {
     let corpus = corpus();
     let mut rng = Rng(seed);
     let (mut sealed_ok, mut sealed_err, mut rec_ok, mut rec_err) = (0u64, 0u64, 0u64, 0u64);
-    let (mut vote_ok, mut vote_err) = (0u64, 0u64);
-    for _ in 0..iterations {
+    let (mut vote_ok, mut vote_err, mut tag_swaps) = (0u64, 0u64, 0u64);
+    for i in 0..iterations {
         let base = &corpus[rng.below(corpus.len())];
-        let mutant = bytes::Bytes::from(mutate(&mut rng, base));
-        // The sealed-frame opener: must classify, never panic.
+        let (mutant, tag_swap) = mutate(&mut rng, base);
+        let mutant = bytes::Bytes::from(mutant);
+        // The sealed-frame opener: must classify, never panic, and never
+        // accept a frame whose flush-boundary tag was swapped.
         match open_frame(&mutant) {
+            Ok(_) if tag_swap => panic!("iteration {i} (seed {seed:#x}): a seal-tag swap opened"),
             Ok(_) => sealed_ok += 1,
             Err(e) => {
                 let _ = e.to_string();
                 sealed_err += 1;
+                tag_swaps += u64::from(tag_swap);
             }
         }
         // The digest-vote parser the quorum gate trusts with byzantine
@@ -174,8 +196,8 @@ fn main() {
         }
     }
     println!(
-        "fuzzed {iterations} mutants (seed {seed:#x}): open_frame {sealed_ok} ok / {sealed_err} rejected; \
-         vote parse {vote_ok} ok / {vote_err} rejected; \
+        "fuzzed {iterations} mutants (seed {seed:#x}): open_frame {sealed_ok} ok / {sealed_err} rejected \
+         ({tag_swaps} seal-tag swaps); vote parse {vote_ok} ok / {vote_err} rejected; \
          record decode {rec_ok} ok / {rec_err} rejected; no panics"
     );
 }

@@ -121,8 +121,9 @@ impl SideEffectHandler for CountingHandler {
         LOG_CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         None
     }
-    fn restore(&mut self, _env: &mut ftjvm::vm::SimEnv) {
+    fn restore(&mut self, _env: &mut ftjvm::vm::SimEnv) -> Result<(), ftjvm::netsim::WireError> {
         RESTORE_CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(())
     }
 }
 
