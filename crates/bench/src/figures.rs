@@ -736,7 +736,7 @@ pub fn render_group() -> String {
         )?;
         writeln!(
             out,
-            "  exactly-once: {}",
+            "  exactly-once: {} (votes catch equivocation, not an ND value forged for every replica)",
             if report.check_no_duplicate_outputs().is_ok() { "ok" } else { "VIOLATED" }
         )
     })

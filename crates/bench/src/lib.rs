@@ -156,7 +156,7 @@ pub fn measure(w: &Workload) -> BenchRow {
 
 /// The whole SPEC suite, measured on first use and shared by every
 /// rendering that reads it, in [`ftjvm_workloads::spec_suite`] order.
-pub fn suite() -> &'static [BenchRow] {
+pub(crate) fn suite() -> &'static [BenchRow] {
     static SUITE: OnceLock<Vec<BenchRow>> = OnceLock::new();
     SUITE.get_or_init(|| ftjvm_workloads::spec_suite().iter().map(measure).collect())
 }

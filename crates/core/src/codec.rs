@@ -921,7 +921,7 @@ fn seal_crc(tail: &[u8], more: bool) -> u32 {
 
 /// True if `raw` is sealed as a frame that more frames of its flush
 /// follow. Only meaningful for a frame that [`open_frame`] accepted.
-pub fn continues_flush(raw: &[u8]) -> bool {
+pub(crate) fn continues_flush(raw: &[u8]) -> bool {
     raw.first() == Some(&SEAL_MORE_TAG)
 }
 

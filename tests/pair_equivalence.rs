@@ -1204,9 +1204,6 @@ const COLD_CHECKPOINTED_PINNED: &[(&str, Pin)] = &[
 #[rustfmt::skip]
 const LOSSY_COLD_PINNED: &[(&str, Pin)] = &[
     pin!("lock-sync/free", [0x955d550f, 7, 61008, 2013495, 128, 40, false, 0, 0, 0], 0x6c0d5fa2, None, None),
-    // Re-pinned when verified prefixes began to end on a flush boundary:
-    // the takeover prefix was 15 frames, the last 9 of them the head of a
-    // flush whose end was lost; the backup now replays the first 6.
     pin!("lock-sync/crash", [0x955d550f, 7, 6652, 219193, 14, 5, true, 0, 331850, 331850], 0xca93197, Some(0), Some(406173810)),
     pin!("thread-sched/free", [0x955d550f, 7, 104, 4055, 7, 14, false, 0, 0, 0], 0x3d816227, None, None),
     pin!("thread-sched/crash", [0x955d550f, 7, 12, 465, 1, 2, true, 100519785, 350639, 100870424], 0x9990d244, Some(0), Some(406175799)),
