@@ -170,6 +170,33 @@ pub struct RunReport {
     pub races: Vec<crate::race::RaceReport>,
 }
 
+/// How many threads wait in a monitor's entry queue
+/// ([`ThreadState::BlockedMonitor`]) and how many a lock-replay holds
+/// back ([`ThreadState::DeferredMonitor`]). While a count is zero, a
+/// monitor release or acquisition skips the scan over every thread that
+/// would find nobody to wake or re-poll. Host bookkeeping only: derived
+/// from thread states, never snapshotted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct MonitorQueues {
+    pub(crate) blocked: u32,
+    pub(crate) deferred: u32,
+}
+
+impl MonitorQueues {
+    /// Counts the waiting threads from their states.
+    pub(crate) fn count(threads: &[VmThread]) -> Self {
+        let mut q = MonitorQueues::default();
+        for th in threads {
+            match th.state {
+                ThreadState::BlockedMonitor { .. } => q.blocked += 1,
+                ThreadState::DeferredMonitor { .. } => q.deferred += 1,
+                _ => {}
+            }
+        }
+        q
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct InternalLock {
     pub(crate) holder: Option<ThreadIdx>,
@@ -232,6 +259,7 @@ pub struct VmCore {
     pub(crate) pending_switch: Option<(ThreadSnap, SwitchReason)>,
     pub(crate) yield_requested: bool,
     pub(crate) units: u64,
+    pub(crate) monitor_queues: MonitorQueues,
     /// The pre-decoded instruction streams (rebuilt by [`Vm::new`], so
     /// snapshot restore regenerates it for free — it never hits the wire).
     pub(crate) decoded: Arc<DecodedProgram>,
@@ -349,17 +377,25 @@ impl VmCore {
 
     /// Moves a thread to the runnable state and the back of the run queue.
     pub(crate) fn make_runnable(&mut self, t: ThreadIdx) {
-        let th = self.thread_mut(t);
-        if th.state != ThreadState::Terminated {
-            th.state = ThreadState::Runnable;
-            if self.current != Some(t) && !self.run_queue.contains(&t) {
-                self.run_queue.push_back(t);
-            }
+        let th = &mut self.threads[t.0 as usize];
+        match th.state {
+            ThreadState::Terminated => return,
+            ThreadState::BlockedMonitor { .. } => self.monitor_queues.blocked -= 1,
+            ThreadState::DeferredMonitor { .. } => self.monitor_queues.deferred -= 1,
+            _ => {}
+        }
+        th.state = ThreadState::Runnable;
+        if self.current != Some(t) && !self.run_queue.contains(&t) {
+            self.run_queue.push_back(t);
         }
     }
 
     /// Wakes every thread blocked in `obj`'s (conceptual) entry queue.
     pub(crate) fn wake_blocked_on(&mut self, obj: ObjRef) {
+        debug_assert_eq!(self.monitor_queues, MonitorQueues::count(&self.threads));
+        if self.monitor_queues.blocked == 0 {
+            return;
+        }
         let blocked: Vec<ThreadIdx> = self
             .threads
             .iter()
@@ -373,6 +409,10 @@ impl VmCore {
 
     /// Re-polls every lock-replay-deferred thread against the coordinator.
     pub(crate) fn poll_deferred(&mut self, coord: &mut dyn Coordinator) {
+        debug_assert_eq!(self.monitor_queues, MonitorQueues::count(&self.threads));
+        if self.monitor_queues.deferred == 0 {
+            return;
+        }
         let deferred: Vec<(ThreadIdx, ObjRef)> = self
             .threads
             .iter()
@@ -422,74 +462,66 @@ impl VmCore {
         obj: ObjRef,
         restore_recursion: Option<u32>,
     ) -> AcquireOutcome {
-        let is_app = self.thread(t).is_app();
         let monitor_op_cost = self.cfg.cost.monitor_op;
+        // One lookup for the whole step: the monitor and the thread are
+        // borrowed from disjoint fields.
+        let VmCore { monitors, threads, counters, acct, race, monitor_queues, .. } = self;
+        let ti = t.0 as usize;
+        let is_app = threads[ti].is_app();
+        let m = monitors.monitor_mut(obj);
         // Recursive fast path: no coordination needed — ownership already
         // serializes.
-        if self.monitors.monitor_mut(obj).owned_by(t) {
-            self.monitors.monitor_mut(obj).recursion += 1;
-            self.thread_mut(t).mon_cnt += 1;
+        if m.owned_by(t) {
+            m.recursion += 1;
+            threads[ti].mon_cnt += 1;
             if is_app {
-                self.counters.monitor_ops += 1;
-                if self.race.is_some() {
-                    self.thread_mut(t).held_for_race.push(obj);
+                counters.monitor_ops += 1;
+                if race.is_some() {
+                    threads[ti].held_for_race.push(obj);
                 }
             }
-            self.charge_base(monitor_op_cost);
+            acct.charge(Category::Base, monitor_op_cost);
             return AcquireOutcome::Acquired;
         }
         // Coordinator gate (application threads only).
         if is_app {
-            let (l_id, l_asn) = {
-                let m = self.monitors.monitor_mut(obj);
-                (m.l_id, m.l_asn)
-            };
-            let decision = {
-                let obs = obs_of(&self.threads, t);
-                coord.pre_monitor_acquire(&obs, obj, l_id, l_asn)
-            };
+            let decision = coord.pre_monitor_acquire(&obs_of(threads, t), obj, m.l_id, m.l_asn);
             if decision == MonitorDecision::Defer {
-                self.thread_mut(t).state = ThreadState::DeferredMonitor { obj };
+                threads[ti].state = ThreadState::DeferredMonitor { obj };
+                monitor_queues.deferred += 1;
                 return AcquireOutcome::Deferred;
             }
         }
-        match self.monitors.monitor_mut(obj).try_enter(t) {
+        match m.try_enter(t) {
             EnterResult::Contended { .. } => {
-                self.thread_mut(t).state = ThreadState::BlockedMonitor { obj };
+                threads[ti].state = ThreadState::BlockedMonitor { obj };
+                monitor_queues.blocked += 1;
                 AcquireOutcome::Blocked
             }
             EnterResult::Acquired { recursive } => {
                 debug_assert!(!recursive, "recursive path handled above");
                 if let Some(depth) = restore_recursion {
-                    self.monitors.monitor_mut(obj).recursion = depth;
+                    m.recursion = depth;
                 }
-                self.thread_mut(t).mon_cnt += 1;
-                self.charge_base(monitor_op_cost);
-                if is_app && self.race.is_some() {
+                threads[ti].mon_cnt += 1;
+                acct.charge(Category::Base, monitor_op_cost);
+                if is_app && race.is_some() {
                     let copies = restore_recursion.unwrap_or(1) as usize;
                     for _ in 0..copies {
-                        self.thread_mut(t).held_for_race.push(obj);
+                        threads[ti].held_for_race.push(obj);
                     }
                 }
                 if is_app {
-                    self.thread_mut(t).t_asn += 1;
-                    self.counters.monitor_ops += 1;
-                    self.counters.monitor_acquires += 1;
-                    let (l_id, l_asn) = {
-                        let m = self.monitors.monitor_mut(obj);
-                        m.l_asn += 1;
-                        (m.l_id, m.l_asn)
-                    };
-                    if l_asn == 1 {
-                        self.counters.objects_locked += 1;
+                    threads[ti].t_asn += 1;
+                    counters.monitor_ops += 1;
+                    counters.monitor_acquires += 1;
+                    m.l_asn += 1;
+                    if m.l_asn == 1 {
+                        counters.objects_locked += 1;
                     }
-                    let assigned = {
-                        let (threads, acct) = (&self.threads, &mut self.acct);
-                        let obs = obs_of(threads, t);
-                        coord.post_monitor_acquire(&obs, obj, l_id, l_asn, acct)
-                    };
-                    if let Some(id) = assigned {
-                        self.monitors.monitor_mut(obj).l_id = Some(id);
+                    let obs = obs_of(threads, t);
+                    if let Some(id) = coord.post_monitor_acquire(&obs, obj, m.l_id, m.l_asn, acct) {
+                        m.l_id = Some(id);
                     }
                     // A turn was consumed: deferred threads may be next.
                     self.poll_deferred(coord);
@@ -585,6 +617,7 @@ impl VmCore {
         }
         self.thread_mut(t).state = ThreadState::Terminated;
         self.thread_mut(t).frames.clear();
+        self.thread_mut(t).spare_frames = Vec::new();
         self.thread_mut(t).native = None;
     }
 
@@ -948,6 +981,7 @@ impl Vm {
                 pending_switch: None,
                 yield_requested: false,
                 units: 0,
+                monitor_queues: MonitorQueues::default(),
                 decoded,
                 cfg,
             },

@@ -17,7 +17,7 @@
 
 use crate::thread::ThreadIdx;
 use crate::value::ObjRef;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Error returned when a thread releases or waits on a monitor it does not
 /// own — the VM turns it into `IllegalMonitorStateException`.
@@ -131,13 +131,27 @@ impl Monitor {
     pub fn owned_by(&self, t: ThreadIdx) -> bool {
         self.owner == Some(t)
     }
+
+    /// Owned, contended, or with waiters: such a monitor's object is a GC
+    /// root, and its entry outlives the object's other references.
+    fn in_use(&self) -> bool {
+        self.owner.is_some() || !self.entry_queue.is_empty() || !self.wait_set.is_empty()
+    }
 }
 
 /// All monitors, keyed by object. Entries are created lazily on first use
 /// and dropped when their object is collected.
+///
+/// Dense rather than hashed: `index` maps a heap slot to its entry in
+/// `slab`, so a lookup is two array reads. Iteration walks `index`, which
+/// yields monitors in object order — the order a snapshot writes them in.
 #[derive(Debug, Default)]
 pub struct MonitorTable {
-    pub(crate) map: HashMap<ObjRef, Monitor>,
+    /// Per heap slot: 0 when the object has no monitor, else one plus the
+    /// position of its entry in `slab`.
+    index: Vec<u32>,
+    /// The monitors with their objects, in no particular order.
+    slab: Vec<(ObjRef, Monitor)>,
 }
 
 impl MonitorTable {
@@ -148,48 +162,81 @@ impl MonitorTable {
 
     /// The monitor for `obj`, created on first use.
     pub fn monitor_mut(&mut self, obj: ObjRef) -> &mut Monitor {
-        self.map.entry(obj).or_default()
+        let i = obj.index();
+        if i >= self.index.len() {
+            self.index.resize(i + 1, 0);
+        }
+        let pos = match self.index[i] {
+            0 => {
+                self.slab.push((obj, Monitor::default()));
+                self.index[i] = self.slab.len() as u32;
+                self.slab.len() - 1
+            }
+            p => p as usize - 1,
+        };
+        &mut self.slab[pos].1
     }
 
     /// The monitor for `obj`, if it has ever been used.
     pub fn monitor(&self, obj: ObjRef) -> Option<&Monitor> {
-        self.map.get(&obj)
+        match self.index.get(obj.index()) {
+            Some(&p) if p != 0 => Some(&self.slab[p as usize - 1].1),
+            _ => None,
+        }
+    }
+
+    /// Number of monitors in the table.
+    pub fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// True when no monitor has been used (or all were dropped).
+    pub fn is_empty(&self) -> bool {
+        self.slab.is_empty()
+    }
+
+    /// Every monitor with its object, in object order.
+    pub fn iter(&self) -> impl Iterator<Item = (ObjRef, &Monitor)> + '_ {
+        self.index.iter().enumerate().filter(|(_, &p)| p != 0).map(|(i, &p)| {
+            let (obj, m) = &self.slab[p as usize - 1];
+            debug_assert_eq!(obj.index(), i);
+            (*obj, m)
+        })
     }
 
     /// Objects whose monitor is in active use (owned, contended, or with
     /// waiters); these must be treated as GC roots so a locked object can
     /// never be collected out from under its monitor.
     pub fn active_objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
-        self.map.iter().filter_map(|(obj, m)| {
-            if m.owner.is_some() || !m.entry_queue.is_empty() || !m.wait_set.is_empty() {
-                Some(*obj)
-            } else {
-                None
-            }
-        })
+        self.iter().filter(|(_, m)| m.in_use()).map(|(obj, _)| obj)
     }
 
     /// Number of distinct objects ever locked (the paper's "Objects Locked"
     /// row in Table 2 counts these at the primary).
     pub fn objects_locked(&self) -> usize {
-        self.map.values().filter(|m| m.l_asn > 0 || m.owner.is_some()).count()
+        self.slab.iter().filter(|(_, m)| m.l_asn > 0 || m.owner.is_some()).count()
     }
 
     /// The largest virtual lock id any monitor carries, if any was ever
     /// assigned. A backup promoting to primary seeds its id allocator
     /// past this so fresh assignments never collide with replayed ones.
     pub fn max_lock_id(&self) -> Option<u64> {
-        self.map.values().filter_map(|m| m.l_id).max()
+        self.slab.iter().filter_map(|(_, m)| m.l_id).max()
     }
 
     /// Drops monitor entries for objects freed by the collector.
     pub fn retain_live(&mut self, is_live: impl Fn(ObjRef) -> bool) {
-        self.map.retain(|obj, m| {
-            is_live(*obj)
-                || m.owner.is_some()
-                || !m.entry_queue.is_empty()
-                || !m.wait_set.is_empty()
+        let index = &mut self.index;
+        self.slab.retain(|(obj, m)| {
+            let keep = is_live(*obj) || m.in_use();
+            if !keep {
+                index[obj.index()] = 0;
+            }
+            keep
         });
+        for (pos, (obj, _)) in self.slab.iter().enumerate() {
+            index[obj.index()] = pos as u32 + 1;
+        }
     }
 }
 

@@ -492,12 +492,9 @@ fn encode_body<S: Sink>(vm: &Vm, ext: &[(u8, Bytes)], mut w: S) -> S {
         w.put_uvarint(r.index() as u64);
     }
 
-    // 6. Monitors, sorted by object so the blob is a deterministic
-    //    function of VM state (the map itself has no stable order).
-    let mut monitors: Vec<(&ObjRef, &Monitor)> = core.monitors.map.iter().collect();
-    monitors.sort_by_key(|(obj, _)| **obj);
-    w.put_uvarint(monitors.len() as u64);
-    for (obj, m) in monitors {
+    // 6. Monitors, in object order (the table iterates in it).
+    w.put_uvarint(core.monitors.len() as u64);
+    for (obj, m) in core.monitors.iter() {
         w.put_uvarint(obj.index() as u64);
         put_opt_thread(&mut w, m.owner);
         w.put_uvarint(m.recursion as u64);
@@ -821,6 +818,9 @@ impl Vm {
         let n_mons = r.get_uvarint()? as usize;
         for _ in 0..n_mons {
             let obj = ObjRef::from_index(r.get_uvarint()? as usize);
+            if obj.index() >= heap.slots.len() {
+                return Err(SnapshotError::Malformed(format!("monitor on {obj} past the heap")));
+            }
             let owner = get_opt_thread(&mut r)?;
             let recursion = r.get_uvarint()? as u32;
             let n_entry = r.get_uvarint()? as usize;
@@ -837,9 +837,8 @@ impl Vm {
             }
             let l_asn = r.get_uvarint()?;
             let l_id = get_opt_u64(&mut r)?;
-            monitors
-                .map
-                .insert(obj, Monitor { owner, recursion, entry_queue, wait_set, l_asn, l_id });
+            *monitors.monitor_mut(obj) =
+                Monitor { owner, recursion, entry_queue, wait_set, l_asn, l_id };
         }
 
         // 7. Threads.
@@ -878,6 +877,7 @@ impl Vm {
                 vt,
                 state,
                 frames,
+                spare_frames: Vec::new(),
                 br_cnt,
                 mon_cnt,
                 t_asn,
@@ -989,6 +989,7 @@ impl Vm {
         core.monitors = monitors;
         core.statics = statics;
         core.class_objects = class_objects;
+        core.monitor_queues = crate::exec::MonitorQueues::count(&threads);
         core.threads = threads;
         core.run_queue = run_queue;
         core.current = current;

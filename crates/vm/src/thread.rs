@@ -105,6 +105,23 @@ impl Frame {
         locals.resize(n_locals as usize, Value::Null);
         Frame { method, pc: 0, locals, stack: Vec::new(), sync_obj: None }
     }
+
+    /// Re-targets a spare frame at `method`, exactly as [`Frame::new`]
+    /// would build it, but keeping the buffers' capacity.
+    pub(crate) fn reset(
+        &mut self,
+        method: MethodId,
+        n_locals: u16,
+        args: impl Iterator<Item = Value>,
+    ) {
+        self.method = method;
+        self.pc = 0;
+        self.locals.clear();
+        self.locals.extend(args);
+        self.locals.resize(n_locals as usize, Value::Null);
+        self.stack.clear();
+        self.sync_obj = None;
+    }
 }
 
 /// An in-progress native-method call (phased natives survive preemption and
@@ -176,6 +193,9 @@ pub struct VmThread {
     pub state: ThreadState,
     /// Call stack, innermost last.
     pub frames: Vec<Frame>,
+    /// Popped frames kept for their buffers, so a call does not allocate.
+    /// Host memory only: no snapshot, digest or comparison reads them.
+    pub spare_frames: Vec<Frame>,
     /// Control-flow changes executed (paper: `br_cnt`).
     pub br_cnt: u64,
     /// Monitor acquisitions + releases performed (paper: `mon_cnt`).
@@ -211,6 +231,7 @@ impl VmThread {
             vt,
             state: ThreadState::Runnable,
             frames: vec![Frame::new(method, n_locals, args)],
+            spare_frames: Vec::new(),
             br_cnt: 0,
             mon_cnt: 0,
             t_asn: 0,
@@ -230,6 +251,7 @@ impl VmThread {
             vt: None,
             state: ThreadState::Parked,
             frames: Vec::new(),
+            spare_frames: Vec::new(),
             br_cnt: 0,
             mon_cnt: 0,
             t_asn: 0,

@@ -8,12 +8,12 @@ use ftjvm_vm::class::builtin;
 use ftjvm_vm::env::{SimEnv, World};
 use ftjvm_vm::exec::{Vm, VmConfig};
 use ftjvm_vm::heap::{Heap, HeapEntry};
-use ftjvm_vm::monitor::Monitor;
+use ftjvm_vm::monitor::{Monitor, MonitorTable, Waiter};
 use ftjvm_vm::native::NativeRegistry;
 use ftjvm_vm::program::ProgramBuilder;
 use ftjvm_vm::{Cmp, NoopCoordinator, ObjRef, ThreadIdx, Value};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 // ===== heap / GC =====
 
@@ -198,6 +198,135 @@ proptest! {
             }
             prop_assert_eq!(m.owner, owner.map(ThreadIdx));
             prop_assert_eq!(m.recursion, depth);
+        }
+    }
+}
+
+// ===== monitor table vs a map model =====
+
+/// Objects the table ops address: dense low slots plus a sparse tail, so
+/// the table grows past slots it never used.
+const TABLE_OBJS: [usize; 10] = [0, 1, 2, 3, 5, 8, 13, 64, 130, 999];
+
+#[derive(Debug, Clone, Copy)]
+enum TableOp {
+    /// `monitor_mut`, no edit: creates the entry.
+    Touch(usize),
+    /// Sets (or clears) the owner, as an enter or a full release would.
+    Own(usize, Option<u32>),
+    /// Bumps `l_asn`, as an application acquisition does.
+    Asn(usize),
+    /// Assigns the virtual lock id.
+    Id(usize, u64),
+    /// Parks a waiter in the wait set.
+    Wait(usize, u32),
+    /// Wakes the oldest waiter.
+    Notify(usize),
+    /// A read-only lookup.
+    Read(usize),
+    /// Collection: objects whose bit in the mask is set are live.
+    Retain(u64),
+}
+
+fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    let obj = 0usize..TABLE_OBJS.len();
+    proptest::collection::vec(
+        prop_oneof![
+            obj.clone().prop_map(TableOp::Touch),
+            (obj.clone(), proptest::option::of(0u32..3)).prop_map(|(o, t)| TableOp::Own(o, t)),
+            obj.clone().prop_map(TableOp::Asn),
+            (obj.clone(), 0u64..50).prop_map(|(o, id)| TableOp::Id(o, id)),
+            (obj.clone(), 0u32..3).prop_map(|(o, t)| TableOp::Wait(o, t)),
+            obj.clone().prop_map(TableOp::Notify),
+            obj.prop_map(TableOp::Read),
+            any::<u64>().prop_map(TableOp::Retain),
+        ],
+        0..120,
+    )
+}
+
+/// Everything observable about one monitor.
+fn mon_view(m: &Monitor) -> (Option<ThreadIdx>, u32, Vec<Waiter>, u64, Option<u64>) {
+    (m.owner, m.recursion, m.wait_set.iter().copied().collect(), m.l_asn, m.l_id)
+}
+
+/// Today's rule for what a collection keeps: a live object's monitor, or
+/// any monitor still owned, contended or waited on.
+fn kept(obj: ObjRef, m: &Monitor, mask: u64) -> bool {
+    mask >> (obj.index() % 64) & 1 == 1
+        || m.owner.is_some()
+        || !m.entry_queue.is_empty()
+        || !m.wait_set.is_empty()
+}
+
+proptest! {
+    /// The monitor table against a `BTreeMap<ObjRef, Monitor>` model: the
+    /// first `monitor_mut` creates an entry, a read creates none, a
+    /// collection drops exactly the idle monitors of dead objects, and
+    /// iteration runs in object order.
+    #[test]
+    fn monitor_table_matches_map_model(ops in table_ops()) {
+        let mut table = MonitorTable::new();
+        let mut model: BTreeMap<ObjRef, Monitor> = BTreeMap::new();
+        for op in ops {
+            match op {
+                TableOp::Touch(o) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    table.monitor_mut(obj);
+                    model.entry(obj).or_default();
+                }
+                TableOp::Own(o, t) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    for m in [table.monitor_mut(obj), model.entry(obj).or_default()] {
+                        m.owner = t.map(ThreadIdx);
+                        m.recursion = u32::from(t.is_some());
+                    }
+                }
+                TableOp::Asn(o) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    table.monitor_mut(obj).l_asn += 1;
+                    model.entry(obj).or_default().l_asn += 1;
+                }
+                TableOp::Id(o, id) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    table.monitor_mut(obj).l_id = Some(id);
+                    model.entry(obj).or_default().l_id = Some(id);
+                }
+                TableOp::Wait(o, t) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    let w = Waiter { thread: ThreadIdx(t), saved_recursion: 1 };
+                    table.monitor_mut(obj).wait_set.push_back(w);
+                    model.entry(obj).or_default().wait_set.push_back(w);
+                }
+                TableOp::Notify(o) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    table.monitor_mut(obj).wait_set.pop_front();
+                    model.entry(obj).or_default().wait_set.pop_front();
+                }
+                TableOp::Read(o) => {
+                    let obj = ObjRef::from_index(TABLE_OBJS[o]);
+                    prop_assert_eq!(table.monitor(obj).map(mon_view), model.get(&obj).map(mon_view));
+                }
+                TableOp::Retain(mask) => {
+                    table.retain_live(|r| mask >> (r.index() % 64) & 1 == 1);
+                    model.retain(|obj, m| kept(*obj, m, mask));
+                }
+            }
+            let got: Vec<_> = table.iter().map(|(obj, m)| (obj, mon_view(m))).collect();
+            let want: Vec<_> = model.iter().map(|(obj, m)| (*obj, mon_view(m))).collect();
+            prop_assert_eq!(got, want);
+            for &i in &TABLE_OBJS {
+                let obj = ObjRef::from_index(i);
+                prop_assert_eq!(table.monitor(obj).map(mon_view), model.get(&obj).map(mon_view));
+            }
+            let mut active: Vec<ObjRef> = table.active_objects().collect();
+            active.sort_unstable();
+            let want_active: Vec<ObjRef> =
+                model.iter().filter(|(obj, m)| kept(**obj, m, 0)).map(|(obj, _)| *obj).collect();
+            prop_assert_eq!(active, want_active);
+            let locked = model.values().filter(|m| m.l_asn > 0 || m.owner.is_some()).count();
+            prop_assert_eq!(table.objects_locked(), locked);
+            prop_assert_eq!(table.max_lock_id(), model.values().filter_map(|m| m.l_id).max());
         }
     }
 }
